@@ -32,24 +32,17 @@ from .grid import (
     ConfigurationError,
     GridKind,
     GridSpec,
-    grid_dx,
-    grid_points,
 )
 from .solver import (
     SolveReport,
     SolverConfig,
     SolverPlan,
     apply_discrete_laplacian,
-    plan_create,
-    solve,
-    solve_mixed,
 )
 from .transforms import (
     TransformKind,
     TransformPair,
     TransformPlan,
-    execute_complex,
-    execute_real,
     naive_transform,
     transform_pair_for,
 )
@@ -75,15 +68,8 @@ __all__ = [
     "as_array",
     "combine_eigenvalues",
     "eigenvalue_table",
-    "execute_complex",
-    "execute_real",
     "fd2_eigenvalues",
-    "grid_dx",
-    "grid_points",
     "naive_transform",
-    "plan_create",
-    "solve",
-    "solve_mixed",
     "spectral_eigenvalues",
     "transform_pair_for",
     "__version__",

@@ -223,11 +223,13 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    for flag, value, table in (("bc", args.bc, _BC), ("grid", args.grid, _KIND),
+                               ("approx", args.approx, _APPROX)):
+        if value and value not in table:
+            raise ConfigurationError(f"unknown {flag} {value!r}; expected one of {sorted(table)}")
     bc = _BC[args.bc] if args.bc else None
     kind = _KIND[args.grid] if args.grid else None
     approx = _APPROX[args.approx] if args.approx else None
-    if args.bc and args.bc not in _BC:
-        raise ConfigurationError(f"unknown bc {args.bc!r}")
     results = verifysuite.run_suites(
         bc=bc,
         kind=kind,

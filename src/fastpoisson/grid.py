@@ -98,11 +98,3 @@ class GridSpec:
         if self.bc is BoundaryCondition.DIRICHLET:
             return (j + 1.0) * (self.length / (self.n + 1))
         return j * (self.length / (self.n - 1))
-
-
-def grid_dx(spec: GridSpec) -> float:
-    return spec.dx
-
-
-def grid_points(spec: GridSpec) -> np.ndarray:
-    return spec.points()

@@ -45,18 +45,11 @@ from .transforms import TransformKind, TransformPlan, transform_pair_for
 
 _PRECISION_DTYPES = {"double": np.float64, "single": np.float32}
 
-# Small double-precision solves run their transform pipeline in extended
-# precision (where the platform provides one) and round once at the end:
-# high-index eigenmodes amplify transform roundoff by |lambda_max/lambda_min|,
-# and at these sizes the extra accuracy is free.  Large solves keep the
-# native-precision fast path.
-_EXTENDED_LIMIT = 4096
-_HAVE_EXTENDED = np.finfo(np.longdouble).eps < np.finfo(np.float64).eps
-
 # forward transform of the all-ones line, evaluated at the null index; used to
-# convert the removed null coefficient back into a mean value
+# convert the removed null coefficient back into a mean value (the solver's
+# forward DFT is the unnormalized fftn)
 _ONES_NULL_COEFF = {
-    TransformKind.DFT: lambda n: 1.0,
+    TransformKind.DFT: lambda n: float(n),
     TransformKind.DCT1: lambda n: 2.0 * (n - 1),
     TransformKind.DCT2: lambda n: 2.0 * n,
 }
@@ -138,11 +131,6 @@ class SolverPlan:
         self.threads = max(1, int(threads))
         self.shape = config.shape
         self.dtype = config.dtype
-        small = math.prod(self.shape) <= _EXTENDED_LIMIT
-        if small and _HAVE_EXTENDED and self.dtype == np.float64:
-            self._work_dtype = np.dtype(np.longdouble)
-        else:
-            self._work_dtype = self.dtype
 
         self._pairs = [transform_pair_for(g.bc, g.kind) for g in config.grids]
         self.tables = [eigenvalue_table(g, config.approximation) for g in config.grids]
@@ -150,13 +138,14 @@ class SolverPlan:
         lam = combined.values
         # the diagonal pass is a single multiply that divides by the
         # eigenvalue, projects out the null modes (exact zeros -> 0), and
-        # carries the backward normalization of the real-transform pairs
+        # carries the backward normalization of the real-transform pairs;
+        # the periodic axes need none, as ifftn applies 1/N itself
         backward_scale = math.prod(
             pair.backward_scale(g.n) for g, pair in zip(config.grids, self._pairs)
         )
         inv = np.zeros_like(lam)
         np.divide(backward_scale, lam, out=inv, where=lam != 0.0)
-        self._inv_lam = inv.astype(self._work_dtype)
+        self._inv_lam = inv.astype(self.dtype)
         self.null_modes = combined.null_modes
 
         self._periodic_axes = config.periodic_axes
@@ -210,7 +199,7 @@ class SolverPlan:
                 )
 
         report = SolveReport(mode=self.mode, periodic_axes=self._periodic_axes)
-        work = np.array(rhs_arr, dtype=self._work_dtype, copy=True, order="C")
+        work = np.array(rhs_arr, dtype=self.dtype, copy=True, order="C")
 
         t0 = time.perf_counter()
         work = self._forward_pass(work)
@@ -235,15 +224,13 @@ class SolverPlan:
         for ax in self._real_axes:
             work = self._real_transform(work, ax, forward=True)
         if self._periodic_axes:
-            scale = math.prod(self.shape[ax] for ax in self._periodic_axes)
-            work = _sfft.fftn(work, axes=self._periodic_axes, workers=self.threads) / scale
+            work = _sfft.fftn(work, axes=self._periodic_axes, workers=self.threads)
         return work
 
     def _backward_pass(self, work):
         if self._periodic_axes:
-            scale = math.prod(self.shape[ax] for ax in self._periodic_axes)
-            work = _sfft.ifftn(work, axes=self._periodic_axes, workers=self.threads) * scale
-            work = np.ascontiguousarray(work.real, dtype=self._work_dtype)
+            work = _sfft.ifftn(work, axes=self._periodic_axes, workers=self.threads)
+            work = np.ascontiguousarray(work.real, dtype=self.dtype)
         for ax in reversed(self._real_axes):
             work = self._real_transform(work, ax, forward=False)
         return work
@@ -259,28 +246,6 @@ class SolverPlan:
         buf = lines.execute_real(buf)
         scatter_lines(rplan, buf, work)
         return work
-
-
-def plan_create(config: SolverConfig, threads: int = 1) -> SolverPlan:
-    """Build the immutable plan for a configuration (validates it)."""
-    return SolverPlan(config, threads=threads)
-
-
-def solve(plan: SolverPlan, rhs, out=None):
-    """Three-step solve on a prepared plan; see :meth:`SolverPlan.solve`."""
-    return plan.solve(rhs, out)
-
-
-def solve_mixed(plan: SolverPlan, rhs, out=None):
-    """Mixed-boundary path; rejects plans that are not mixed.
-
-    ``solve`` dispatches here implicitly for mixed plans; calling it with a
-    uniform plan is a usage error (the normalization bookkeeping differs), so
-    it raises instead of silently producing a wrong answer.
-    """
-    if plan.mode != "mixed":
-        raise ConfigurationError("plan is not a mixed-boundary plan; use solve()")
-    return plan.solve(rhs, out)
 
 
 def apply_discrete_laplacian(config: SolverConfig, field, out=None) -> np.ndarray:

@@ -171,19 +171,6 @@ class TransformPlan:
             return _sfft.fft(line, axis=self.axis, workers=self.workers or None) / self.n
         return _sfft.ifft(line, axis=self.axis, workers=self.workers or None) * self.n
 
-    def execute(self, line: np.ndarray) -> np.ndarray:
-        if self.kind.is_complex:
-            return self.execute_complex(line)
-        return self.execute_real(line)
-
-
-def execute_real(plan: TransformPlan, line: np.ndarray) -> np.ndarray:
-    return plan.execute_real(line)
-
-
-def execute_complex(plan: TransformPlan, line: np.ndarray) -> np.ndarray:
-    return plan.execute_complex(line)
-
 
 def naive_transform(kind: TransformKind, line) -> np.ndarray:
     """Literal O(n^2) evaluation of the defining summation (test oracle).

@@ -79,6 +79,15 @@ def test_verify_filtered_run(tmp_path):
     assert rows == {("dirichlet", "staggered")}
 
 
+@pytest.mark.parametrize("flag", ["--bc", "--grid", "--approx"])
+def test_verify_unknown_filter_exits_2(flag, tmp_path, capsys):
+    code = main(["verify", flag, "foo", "--out", str(tmp_path / "verify.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "'foo'" in err and "Traceback" not in err
+    assert not (tmp_path / "verify.json").exists()
+
+
 def test_verify_covers_all_rows_and_approximations(tmp_path):
     out = tmp_path / "verify.json"
     assert main(["verify", "--out", str(out)]) == 0

@@ -6,47 +6,45 @@ from fastpoisson.grid import (
     ConfigurationError,
     GridKind as GK,
     GridSpec,
-    grid_dx,
-    grid_points,
 )
 
 from conftest import ROWS, ROW_IDS
 
 
 def test_dx_periodic():
-    assert grid_dx(GridSpec(4, 1.0, BC.PERIODIC)) == 0.25
+    assert GridSpec(4, 1.0, BC.PERIODIC).dx == 0.25
 
 
 def test_dx_dirichlet_regular():
-    assert grid_dx(GridSpec(3, 1.0, BC.DIRICHLET, GK.REGULAR)) == 0.25
+    assert GridSpec(3, 1.0, BC.DIRICHLET, GK.REGULAR).dx == 0.25
 
 
 def test_dx_neumann_staggered():
-    assert grid_dx(GridSpec(8, 2.0, BC.NEUMANN, GK.STAGGERED)) == 0.25
+    assert GridSpec(8, 2.0, BC.NEUMANN, GK.STAGGERED).dx == 0.25
 
 
 def test_dx_neumann_regular():
-    assert grid_dx(GridSpec(5, 2.0, BC.NEUMANN, GK.REGULAR)) == 0.5
+    assert GridSpec(5, 2.0, BC.NEUMANN, GK.REGULAR).dx == 0.5
 
 
 def test_points_dirichlet_regular():
-    np.testing.assert_allclose(grid_points(GridSpec(2, 3.0, BC.DIRICHLET)), [1.0, 2.0])
+    np.testing.assert_allclose(GridSpec(2, 3.0, BC.DIRICHLET).points(), [1.0, 2.0])
 
 
 def test_points_dirichlet_staggered():
     np.testing.assert_allclose(
-        grid_points(GridSpec(2, 1.0, BC.DIRICHLET, GK.STAGGERED)), [0.25, 0.75]
+        GridSpec(2, 1.0, BC.DIRICHLET, GK.STAGGERED).points(), [0.25, 0.75]
     )
 
 
 def test_points_neumann_regular_includes_boundaries():
     np.testing.assert_allclose(
-        grid_points(GridSpec(3, 2.0, BC.NEUMANN, GK.REGULAR)), [0.0, 1.0, 2.0]
+        GridSpec(3, 2.0, BC.NEUMANN, GK.REGULAR).points(), [0.0, 1.0, 2.0]
     )
 
 
 def test_points_periodic():
-    np.testing.assert_allclose(grid_points(GridSpec(4, 2.0, BC.PERIODIC)), [0.0, 0.5, 1.0, 1.5])
+    np.testing.assert_allclose(GridSpec(4, 2.0, BC.PERIODIC).points(), [0.0, 0.5, 1.0, 1.5])
 
 
 @pytest.mark.parametrize("bc,kind", ROWS, ids=ROW_IDS)

@@ -72,18 +72,25 @@ def test_bad_plan_parameters():
 def test_linear_time_growth(rng):
     # pure data movement: a 16x larger field must not cost more than ~2x per element
     small, large = (256, 256), (1024, 1024)
-
-    def median_gather(shape):
+    cases = []
+    for shape in (small, large):
         plan = ReorderPlan(shape, 0)
         field = rng.standard_normal(shape)
         buf = make_buffer(plan)
         gather_lines(plan, field, buf)  # warm
-        times = []
-        for _ in range(7):
+        cases.append((plan, field, buf))
+
+    # samples of the two sizes alternate, so a slow phase of the machine
+    # lands on both sides of the ratio instead of on one
+    times = ([], [])
+    for _ in range(7):
+        for (plan, field, buf), samples in zip(cases, times):
             t0 = time.perf_counter()
             gather_lines(plan, field, buf)
-            times.append(time.perf_counter() - t0)
-        return sorted(times)[len(times) // 2]
+            samples.append(time.perf_counter() - t0)
 
-    ratio = median_gather(large) / median_gather(small)
+    def median(samples):
+        return sorted(samples)[len(samples) // 2]
+
+    ratio = median(times[1]) / median(times[0])
     assert ratio <= 32.0, f"gather slowed superlinearly: 16x elements took {ratio:.1f}x time"

@@ -14,9 +14,6 @@ from fastpoisson.solver import (
     SolverConfig,
     SolverPlan,
     apply_discrete_laplacian,
-    plan_create,
-    solve,
-    solve_mixed,
 )
 from fastpoisson.verify import basis_vector, dense_oracle_solve, laplacian_matrix
 
@@ -87,7 +84,7 @@ def test_config_precision_values():
 
 def test_plan_create_populates_tables():
     config = uniform_config(BC.PERIODIC, GK.REGULAR, (4, 4, 4), AP.PSEUDO_SPECTRAL)
-    plan = plan_create(config)
+    plan = SolverPlan(config)
     assert plan.mode == "uniform"
     assert len(plan.tables) == 3
     np.testing.assert_allclose(
@@ -117,11 +114,20 @@ def test_solve_eigenvector_in_eigenvector_out(approx):
     assert np.abs(sol - v).max() <= 1e-12
 
 
-def test_all_neumann_constant_rhs():
-    config = uniform_config(BC.NEUMANN, GK.STAGGERED, (6, 5))
-    plan = SolverPlan(config)
+@pytest.mark.parametrize(
+    "grids",
+    [(GridSpec(8, 1.0, BC.PERIODIC), GridSpec(6, 1.5, BC.PERIODIC)),
+     (GridSpec(8, 1.0, BC.PERIODIC), GridSpec(5, 1.5, BC.NEUMANN, GK.STAGGERED),
+      GridSpec(4, 2.0, BC.NEUMANN, GK.STAGGERED)),
+     (GridSpec(6, 1.0, BC.NEUMANN, GK.STAGGERED), GridSpec(5, 1.5, BC.NEUMANN, GK.STAGGERED))],
+    ids=["all-periodic-2d", "periodic-neumann-stag-3d", "all-neumann"],
+)
+def test_constant_rhs_removed_mean(grids):
+    # the removed mean is the null coefficient divided by the forward
+    # transform of the ones line, which differs per transform kind
+    plan = SolverPlan(SolverConfig(grids, AP.FINITE_DIFFERENCE_2))
     c = -2.75
-    sol, report = plan.solve(np.full((6, 5), c))
+    sol, report = plan.solve(np.full(plan.shape, c))
     assert np.abs(sol).max() <= 1e-13
     assert report.removed_mean == pytest.approx(c, rel=1e-12)
 
@@ -271,7 +277,7 @@ def test_mixed_product_mode(zrow, approx):
     vz = basis_vector(gz, kz)
     mode = vx[:, None] * vz[None, :]
     rhs = (lx[kx] + lz[kz]) * mode
-    sol, report = solve_mixed(plan, rhs)
+    sol, report = plan.solve(rhs)
     assert report.mode == "mixed"
     assert np.abs(sol - mode).max() <= 1e-12 * np.abs(mode).max()
 
@@ -327,20 +333,6 @@ def test_thread_count_does_not_change_results(rng):
     np.testing.assert_allclose(sol2, sol1, atol=1e-13 * np.abs(sol1).max())
 
 
-def test_solve_mixed_rejects_uniform_plan():
-    plan = SolverPlan(uniform_config(BC.PERIODIC, GK.REGULAR, (4, 4)))
-    with pytest.raises(ConfigurationError):
-        solve_mixed(plan, np.zeros((4, 4)))
-
-
-def test_module_level_solve_wrapper(rng):
-    plan = SolverPlan(uniform_config(BC.DIRICHLET, GK.REGULAR, (6,)))
-    rhs = rng.standard_normal(6)
-    a, _ = solve(plan, rhs)
-    b, _ = plan.solve(rhs)
-    np.testing.assert_array_equal(a, b)
-
-
 # -- discrete Laplacian aid -------------------------------------------------------
 
 
@@ -385,11 +377,17 @@ def test_laplacian_extent_mismatch():
 
 
 def test_single_precision_solve(rng):
-    grids = uniform_config(BC.DIRICHLET, GK.REGULAR, (16, 16)).grids
-    config = SolverConfig(grids, AP.FINITE_DIFFERENCE_2, precision="single")
-    plan = SolverPlan(config)
-    rhs = rng.standard_normal((16, 16)).astype(np.float32)
-    sol, _ = plan.solve(rhs)
-    assert sol.dtype == np.float32
-    ref = dense_oracle_solve(SolverConfig(config.grids, AP.FINITE_DIFFERENCE_2), rhs.astype(np.float64))
-    assert np.abs(sol - ref).max() <= 1e-4 * np.abs(ref).max()
+    # Dirichlet (real transforms only), all periodic (complex FFT only) and
+    # mixed periodic + Neumann staggered (both, with a null mode)
+    for grids in (
+        uniform_config(BC.DIRICHLET, GK.REGULAR, (16, 16)).grids,
+        uniform_config(BC.PERIODIC, GK.REGULAR, (16, 12)).grids,
+        (GridSpec(12, 2.0, BC.PERIODIC), GridSpec(10, 1.0, BC.NEUMANN, GK.STAGGERED)),
+    ):
+        config = SolverConfig(grids, AP.FINITE_DIFFERENCE_2, precision="single")
+        plan = SolverPlan(config)
+        rhs = rng.standard_normal(config.shape).astype(np.float32)
+        sol, _ = plan.solve(rhs)
+        assert sol.dtype == np.float32
+        ref = dense_oracle_solve(SolverConfig(config.grids, AP.FINITE_DIFFERENCE_2), rhs.astype(np.float64))
+        assert np.abs(sol - ref).max() <= 1e-4 * np.abs(ref).max(), grids
