@@ -141,6 +141,13 @@ def _split(text, count, convert, what):
     return values
 
 
+def _int_list(text, what):
+    try:
+        return [int(s) for s in str(text).split(",") if s.strip()]
+    except ValueError:
+        raise ConfigurationError(f"cannot parse {what} list {text!r}") from None
+
+
 def _grids_from_flags(args, dims, sizes):
     lengths = _split(args.length, dims, float, "length") if args.length else [1.0] * dims
     bcs = _split(args.bc, dims, lambda s: _BC[s], "bc")
@@ -259,7 +266,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    sizes = [int(s) for s in str(args.sizes).split(",") if s.strip()]
+    sizes = _int_list(args.sizes, "sizes")
     if not sizes or any(s < 1 for s in sizes):
         raise ConfigurationError(f"sizes must be positive, got {args.sizes!r}")
     if args.reps < 1:
@@ -289,7 +296,7 @@ def cmd_bench(args) -> int:
                     "phase": phase,
                     "median_seconds": statistics.median(values),
                     "min_seconds": min(values),
-                    "threads": args.threads,
+                    "threads": plan.threads,
                 }
             )
     fieldnames = ["size", "phase", "median_seconds", "min_seconds", "threads"]
@@ -314,7 +321,11 @@ def cmd_bench(args) -> int:
 def cmd_demo_flow(args) -> int:
     from .flow import channel, taylor_green
 
-    cells = [int(s) for s in str(args.cells).split(",") if s.strip()]
+    if not args.dt > 0:
+        raise ConfigurationError(f"--dt must be positive, got {args.dt}")
+    if args.steps < 0 or args.snapshot_every < 0:
+        raise ConfigurationError("--steps and --snapshot-every must be non-negative")
+    cells = _int_list(args.cells, "cells")
     if len(cells) == 1:
         cells = cells * 2
     if len(cells) != 2 or any(c < 2 for c in cells):

@@ -42,7 +42,7 @@ def grid_from_dict(d: dict) -> GridSpec:
             BoundaryCondition(d["bc"]),
             GridKind(d["kind"]),
         )
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise FieldFormatError(f"bad grid entry {d!r}: {exc}") from exc
 
 
@@ -94,10 +94,17 @@ def read_field(header_path):
     dtype = _PRECISION_TO_DTYPE.get(header["precision"])
     if dtype is None:
         raise FieldFormatError(f"{header_path}: unsupported precision {header['precision']!r}")
-    extents = tuple(int(e) for e in header["extents"])
+    extents = header["extents"]
+    if not isinstance(extents, list) or not all(
+        isinstance(e, int) and not isinstance(e, bool) and e >= 0 for e in extents
+    ):
+        raise FieldFormatError(
+            f"{header_path}: extents must be a list of non-negative integers, got {extents!r}"
+        )
+    extents = tuple(extents)
     if len(extents) != header["dims"]:
         raise FieldFormatError(f"{header_path}: dims {header['dims']} != extents rank {len(extents)}")
-    payload_path = header_path.parent / header["payload"]
+    payload_path = _payload_path(header_path, header["payload"])
     raw = payload_path.read_bytes()
     expected = int(np.prod(extents)) * np.dtype(dtype).itemsize
     if len(raw) != expected:
@@ -108,9 +115,24 @@ def read_field(header_path):
     array = array.astype(array.dtype.newbyteorder("="))
     grids = header.get("grids")
     if grids is not None:
+        if not isinstance(grids, list):
+            raise FieldFormatError(f"{header_path}: grids must be a list, got {grids!r}")
         grids = tuple(grid_from_dict(g) for g in grids)
         if tuple(g.n for g in grids) != extents:
             raise FieldFormatError(
                 f"{header_path}: grid point counts {tuple(g.n for g in grids)} != extents {extents}"
             )
     return array, grids
+
+
+def _payload_path(header_path: Path, payload) -> Path:
+    """The payload file, which must lie in the header's own directory tree."""
+    if not isinstance(payload, str) or Path(payload).is_absolute():
+        raise FieldFormatError(f"{header_path}: payload must be a relative path, got {payload!r}")
+    base = header_path.parent.resolve()
+    path = (base / payload).resolve()
+    if not path.is_relative_to(base):
+        raise FieldFormatError(
+            f"{header_path}: payload {payload!r} lies outside the header's directory"
+        )
+    return path

@@ -17,8 +17,14 @@ zeroing the null-mode coefficient: the removed mean of the right-hand side is
 reported and the returned solution is adjusted to have zero arithmetic mean,
 i.e. zero projection onto the null space of the discrete operator.
 
-Plans are immutable after construction; ``solve`` allocates its workspace per
-call, so concurrent solves on one shared plan (with distinct buffers) are
+The periodic axes go through a real-to-complex FFT (``rfftn``), so the
+spectrum holds only the Hermitian half of the last periodic axis, and the
+eigenvalue array is stored on that half.  The real transforms run in place on
+the solve's own working copy.  A solve thus holds about one copy of the field
+plus the half spectrum; with ``out=None`` the working copy itself is returned.
+
+Plans are immutable after construction and ``solve`` allocates its workspace
+per call, so concurrent solves on one shared plan (with distinct buffers) are
 safe.
 """
 
@@ -136,10 +142,14 @@ class SolverPlan:
         self.tables = [eigenvalue_table(g, config.approximation) for g in config.grids]
         combined = combine_eigenvalues(self.tables)
         lam = combined.values
+        if config.periodic_axes:
+            # rfftn keeps the Hermitian half of the last periodic axis
+            half = config.periodic_axes[-1]
+            lam = lam[(slice(None),) * half + (slice(0, self.shape[half] // 2 + 1),)]
         # the diagonal pass is a single multiply that divides by the
         # eigenvalue, projects out the null modes (exact zeros -> 0), and
         # carries the backward normalization of the real-transform pairs;
-        # the periodic axes need none, as ifftn applies 1/N itself
+        # the periodic axes need none, as irfftn applies 1/N itself
         backward_scale = math.prod(
             pair.backward_scale(g.n) for g, pair in zip(config.grids, self._pairs)
         )
@@ -149,6 +159,7 @@ class SolverPlan:
         self.null_modes = combined.null_modes
 
         self._periodic_axes = config.periodic_axes
+        self._periodic_lengths = tuple(self.shape[ax] for ax in self._periodic_axes)
         self._real_axes = tuple(
             ax for ax in range(config.dims) if ax not in self._periodic_axes
         )
@@ -156,12 +167,13 @@ class SolverPlan:
         self._forward = {}
         self._backward = {}
         self._reorder = {}
-        for ax, (g, pair) in enumerate(zip(config.grids, self._pairs)):
+        for ax in self._real_axes:
+            g, pair = config.grids[ax], self._pairs[ax]
             self._forward[ax] = TransformPlan(pair.forward, g.n, axis=ax, workers=self.threads)
             self._backward[ax] = TransformPlan(pair.backward, g.n, axis=ax, workers=self.threads)
             # mixed solves run real transforms one axis at a time; lines along
             # a non-contiguous axis go through the gather/scatter reorder pass
-            if config.mode == "mixed" and ax in self._real_axes and ax != last:
+            if config.mode == "mixed" and ax != last:
                 self._reorder[ax] = ReorderPlan(self.shape, ax)
         if self.config.singular:
             self._null_scale = math.prod(
@@ -183,15 +195,16 @@ class SolverPlan:
         ``rhs`` and ``out`` may be Fields or ndarrays, may be strided
         sub-blocks of larger allocations, and may alias each other.  Returns
         ``(solution, report)``; ``rhs`` is preserved unless ``out`` aliases it.
+        Without ``out`` the solution is a fresh C-contiguous array in the
+        plan's precision.
         """
         rhs_arr = as_array(rhs)
         if rhs_arr.shape != self.shape:
             raise ValueError(f"rhs extents {rhs_arr.shape} do not match plan extents {self.shape}")
         if not np.isfinite(rhs_arr).all():
             raise ValueError("rhs contains non-finite values")
-        if out is None:
-            out_arr = np.empty(self.shape, dtype=self.dtype)
-        else:
+        out_arr = None
+        if out is not None:
             out_arr = as_array(out)
             if out_arr.shape != self.shape:
                 raise ValueError(
@@ -199,51 +212,48 @@ class SolverPlan:
                 )
 
         report = SolveReport(mode=self.mode, periodic_axes=self._periodic_axes)
+        # the one working copy; every pass below rebinds ``work`` in this frame
+        # so that the array it replaces is freed as soon as the pass returns
         work = np.array(rhs_arr, dtype=self.dtype, copy=True, order="C")
 
         t0 = time.perf_counter()
-        work = self._forward_pass(work)
+        for ax in self._real_axes:
+            work = self._real_transform(work, ax, forward=True)
+        if self._periodic_axes:
+            work = _sfft.rfftn(work, axes=self._periodic_axes, workers=self.threads)
         t1 = time.perf_counter()
         if self.singular:
             coeff = work[tuple(self.null_modes[0])]
             report.removed_mean = float(np.real(coeff)) / self._null_scale
         work *= self._inv_lam
         t2 = time.perf_counter()
-        work = self._backward_pass(work)
+        if self._periodic_axes:
+            work = _sfft.irfftn(work, s=self._periodic_lengths, axes=self._periodic_axes,
+                                overwrite_x=True, workers=self.threads)
+        for ax in reversed(self._real_axes):
+            work = self._real_transform(work, ax, forward=False)
         if self.singular:
             work -= work.mean()
         t3 = time.perf_counter()
 
         report.timing = {"forward": t1 - t0, "diagonal": t2 - t1, "backward": t3 - t2}
+        if out_arr is None:
+            return work, report
         out_arr[...] = work
         return out_arr, report
 
     # -- internal passes ---------------------------------------------------
 
-    def _forward_pass(self, work):
-        for ax in self._real_axes:
-            work = self._real_transform(work, ax, forward=True)
-        if self._periodic_axes:
-            work = _sfft.fftn(work, axes=self._periodic_axes, workers=self.threads)
-        return work
-
-    def _backward_pass(self, work):
-        if self._periodic_axes:
-            work = _sfft.ifftn(work, axes=self._periodic_axes, workers=self.threads)
-            work = np.ascontiguousarray(work.real, dtype=self.dtype)
-        for ax in reversed(self._real_axes):
-            work = self._real_transform(work, ax, forward=False)
-        return work
-
     def _real_transform(self, work, ax, forward):
+        """Transform ``work`` (owned by the solve) in place along one real axis."""
         plan = self._forward[ax] if forward else self._backward[ax]
         rplan = self._reorder.get(ax)
         if rplan is None:
-            return plan.execute_real(work)
+            return plan.execute_real(work, overwrite_x=True)
         buf = make_buffer(rplan, dtype=work.dtype)
         gather_lines(rplan, work, buf)
         lines = TransformPlan(plan.kind, plan.n, axis=-1, workers=self.threads)
-        buf = lines.execute_real(buf)
+        buf = lines.execute_real(buf, overwrite_x=True)
         scatter_lines(rplan, buf, work)
         return work
 

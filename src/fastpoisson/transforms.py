@@ -30,10 +30,12 @@ backward leg is scaled so that backward(forward(f)) == f:
 Fast execution is delegated to ``scipy.fft`` (pocketfft), whose unnormalized
 real transforms implement exactly the sums above for arbitrary lengths,
 including primes.  pocketfft keeps an internal cache of twiddle/factorization
-plans per length, so repeated execution does not replan; the output buffer is
-allocated per call.  Plans are immutable and may be executed concurrently on
-distinct buffers; plan creation is also concurrency-safe (there is no global
-planner lock, only the backend's internally synchronized cache).
+plans per length, so repeated execution does not replan.  The output buffer
+is allocated per call, unless ``execute_real`` is told it may overwrite its
+input, in which case a float input is transformed in place.  Plans are
+immutable and may be executed concurrently on distinct buffers; plan creation
+is also concurrency-safe (there is no global planner lock, only the backend's
+internally synchronized cache).
 :func:`naive_transform` is the O(n^2) direct-summation oracle that fixes the
 conventions independently of the fast path.
 """
@@ -154,13 +156,19 @@ class TransformPlan:
             )
         return line
 
-    def execute_real(self, line: np.ndarray) -> np.ndarray:
-        """Apply a real (DST/DCT) transform; output has the input's shape."""
+    def execute_real(self, line: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
+        """Apply a real (DST/DCT) transform; output has the input's shape.
+
+        With ``overwrite_x`` the backend may write the result into ``line``
+        (a float32/float64 input is then transformed in place and nothing is
+        allocated); the caller must own ``line`` and use the returned array.
+        """
         if self.kind.is_complex:
             raise ValueError(f"{self.kind.value} is a complex transform; use execute_complex")
         line = self._check(line)
         func, typ = _REAL_DISPATCH[self.kind]
-        return func(line, type=typ, axis=self.axis, workers=self.workers or None)
+        return func(line, type=typ, axis=self.axis, overwrite_x=overwrite_x,
+                    workers=self.workers or None)
 
     def execute_complex(self, line: np.ndarray) -> np.ndarray:
         """Apply the DFT (forward, scaled by 1/n) or IDFT (unscaled)."""

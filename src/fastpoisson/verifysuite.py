@@ -83,8 +83,11 @@ def _result(suite, b, k, approx, passed, detail):
 def _make_plan(config, threads, fault):
     plan = SolverPlan(config, threads=threads)
     if fault:
-        # scale one (the largest-magnitude) eigenvalue by 1 + fault
-        plan._inv_lam.flat[-1] /= 1.0 + fault
+        # scale the largest-magnitude eigenvalue by 1 + fault; it owns the
+        # smallest nonzero entry of the inverse-eigenvalue array
+        inv = plan._inv_lam
+        magnitude = np.where(inv != 0.0, np.abs(inv), np.inf)
+        inv[np.unravel_index(np.argmin(magnitude), inv.shape)] /= 1.0 + fault
     return plan
 
 

@@ -8,6 +8,8 @@ from fastpoisson.cli import main
 from fastpoisson.fieldio import read_field, write_field
 from fastpoisson.grid import BoundaryCondition as BC, GridKind as GK, GridSpec
 
+from conftest import ROWS
+
 
 @pytest.fixture
 def rhs_file(tmp_path, rng):
@@ -106,7 +108,13 @@ def test_verify_fault_injection_fails(tmp_path):
     code = main(["verify", "--inject-eigenvalue-fault", "--out", str(out)])
     assert code == 1
     summary = json.loads(out.read_text())
-    assert summary["num_failed"] > 0
+    # the perturbed eigenvalue must show in every row's solver checks
+    solver_cases = [c for c in summary["cases"]
+                    if c["suite"] in ("eigenmode_solve", "dense_oracle")]
+    assert {(c["bc"], c["grid"]) for c in solver_cases} == {
+        (bc.value, kind.value) for bc, kind in ROWS}
+    assert {c["suite"] for c in solver_cases} == {"eigenmode_solve", "dense_oracle"}
+    assert not any(c["passed"] for c in solver_cases)
 
 
 def test_bench_csv_output(tmp_path):
@@ -131,6 +139,33 @@ def test_bench_csv_output(tmp_path):
 def test_bench_rejects_bad_sizes(tmp_path):
     assert main(["bench", "--sizes", "0", "--dims", "1"]) == 2
     assert main(["bench", "--sizes", "8", "--dims", "1", "--reps", "0"]) == 2
+
+
+@pytest.mark.parametrize("args,message", [
+    (["bench", "--sizes", "8,x", "--dims", "1"], "'8,x'"),
+    (["demo-flow", "--dt", "0", "--steps", "2"], "--dt"),
+    (["demo-flow", "--dt", "-0.01", "--steps", "2"], "--dt"),
+    (["demo-flow", "--cells", "8,y", "--steps", "2"], "'8,y'"),
+    (["demo-flow", "--steps", "-3"], "--steps"),
+    (["demo-flow", "--steps", "2", "--snapshot-every", "-1"], "--snapshot-every"),
+], ids=["bench-sizes-not-int", "flow-dt-zero", "flow-dt-negative", "flow-cells-not-int",
+        "flow-steps-negative", "flow-snapshot-every-negative"])
+def test_bad_flag_exits_2_with_message(args, message, tmp_path, capsys):
+    if args[0] == "demo-flow":
+        args = args + ["--out", str(tmp_path / "flow")]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "flow").exists()
+
+
+def test_bench_reports_threads_the_plan_used(tmp_path):
+    out = tmp_path / "bench.csv"
+    assert main(["bench", "--sizes", "8", "--dims", "1", "--reps", "1",
+                 "--threads", "0", "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        assert {r["threads"] for r in csv.DictReader(fh)} == {"1"}
 
 
 def test_demo_flow_taylor_green_series(tmp_path):

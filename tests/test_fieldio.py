@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from fastpoisson.cli import main
 from fastpoisson.fieldio import FieldFormatError, read_field, write_field
 from fastpoisson.grid import BoundaryCondition as BC, GridKind as GK, GridSpec
 
@@ -88,3 +89,30 @@ def test_grid_extent_mismatch_rejected(tmp_path):
 def test_unsupported_dtype_rejected(tmp_path):
     with pytest.raises(FieldFormatError):
         write_field(tmp_path / "i", np.zeros(4, dtype=np.int64))
+
+
+# each bad header still matches the 16-value payload's size, so only the new
+# checks can reject it
+@pytest.mark.parametrize("update", [
+    {"payload": "{outside}"},
+    {"payload": "../outside.bin"},
+    {"payload": "inner/../../outside.bin"},
+    {"extents": [-4, -4], "dims": 2},
+    {"extents": "44", "dims": 2},
+    {"extents": [16.0]},
+    {"grids": [1]},
+    {"grids": "x"},
+], ids=["absolute-payload", "parent-payload", "nested-parent-payload", "negative-extents",
+        "string-extents", "float-extent", "grid-entry-not-object", "grids-not-list"])
+def test_unsafe_or_malformed_header_rejected(update, tmp_path):
+    outside = tmp_path / "outside.bin"
+    outside.write_bytes(np.zeros(16).tobytes())
+    header_path = write_field(tmp_path / "sub" / "f", np.zeros(16))
+    header = json.loads(header_path.read_text())
+    header.update({k: v.format(outside=outside) if isinstance(v, str) else v
+                   for k, v in update.items()})
+    header_path.write_text(json.dumps(header))
+    with pytest.raises(FieldFormatError):
+        read_field(header_path)
+    # the CLI maps it to the documented I/O and format exit code
+    assert main(["solve", "--in", str(header_path), "--out", str(tmp_path / "run")]) == 3

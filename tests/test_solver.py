@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fastpoisson.eigenvalues import eigenvalue_table, spectral_eigenvalues
 from fastpoisson.field import Field
@@ -18,6 +21,11 @@ from fastpoisson.solver import (
 from fastpoisson.verify import basis_vector, dense_oracle_solve, laplacian_matrix
 
 from conftest import ROWS, ROW_IDS
+
+
+
+def periodic(n, length=1.0):
+    return GridSpec(n, length, BC.PERIODIC, GK.REGULAR)
 
 
 def uniform_config(bc, kind, shape, approx=AP.FINITE_DIFFERENCE_2, lengths=None):
@@ -391,3 +399,111 @@ def test_single_precision_solve(rng):
         assert sol.dtype == np.float32
         ref = dense_oracle_solve(SolverConfig(config.grids, AP.FINITE_DIFFERENCE_2), rhs.astype(np.float64))
         assert np.abs(sol - ref).max() <= 1e-4 * np.abs(ref).max(), grids
+
+
+# -- real-to-complex pipeline: half spectrum, in-place transforms, owned output --
+
+
+# the last periodic axis is the one rfftn halves
+_PIPELINE_LAYOUTS = {
+    **{f"halved-odd-{n}": (GridSpec(4, 1.5, BC.DIRICHLET, GK.STAGGERED), periodic(n, 2.0))
+       for n in (1, 3, 7)},
+    **{f"periodic-2d-odd-{n}": (periodic(6), periodic(n, 1.5)) for n in (1, 3, 7)},
+    "periodic-not-last": (periodic(7), GridSpec(5, 1.5, BC.NEUMANN, GK.STAGGERED)),
+    "periodic-middle-odd": (
+        GridSpec(4, 1.0, BC.NEUMANN, GK.REGULAR), periodic(5, 2.0),
+        GridSpec(3, 1.5, BC.NEUMANN, GK.REGULAR)),
+    "two-periodic-wall-last": (periodic(6), periodic(5, 1.5), GridSpec(4, 2.0, BC.DIRICHLET, GK.REGULAR)),
+    "two-periodic-wall-middle": (
+        periodic(4), GridSpec(5, 1.5, BC.NEUMANN, GK.STAGGERED), periodic(3, 2.0)),
+}
+
+
+@pytest.mark.parametrize("precision", ["double", "single"])
+@pytest.mark.parametrize("grids", list(_PIPELINE_LAYOUTS.values()), ids=list(_PIPELINE_LAYOUTS))
+def test_rfft_pipeline_matches_dense_oracle(grids, precision, rng):
+    config = SolverConfig(grids, AP.FINITE_DIFFERENCE_2, precision=precision)
+    plan = SolverPlan(config)
+    mat = laplacian_matrix(config)
+    rhs = (mat @ rng.standard_normal(config.shape).ravel()).reshape(config.shape)
+    sol, _ = plan.solve(rhs.astype(config.dtype))
+    assert sol.dtype == config.dtype
+    ref = dense_oracle_solve(config, rhs)
+    tol = 1e-9 if precision == "double" else 1e-4
+    assert np.abs(sol - ref).max() <= tol * max(np.abs(ref).max(), 1e-30)
+
+
+@pytest.mark.parametrize("grids", [
+    uniform_config(BC.DIRICHLET, GK.REGULAR, (6, 5)).grids,
+    uniform_config(BC.PERIODIC, GK.REGULAR, (6, 5)).grids,
+    (periodic(6), GridSpec(5, 1.0, BC.NEUMANN, GK.STAGGERED)),
+    (GridSpec(5, 1.0, BC.NEUMANN, GK.STAGGERED), periodic(6)),
+], ids=["dirichlet", "periodic", "periodic-neumann", "neumann-periodic"])
+@pytest.mark.parametrize("precision", ["double", "single"])
+def test_solution_without_out_is_fresh(grids, precision, rng):
+    plan = SolverPlan(SolverConfig(grids, AP.FINITE_DIFFERENCE_2, precision=precision))
+    rhs = rng.standard_normal(plan.shape).astype(plan.dtype)
+    before = rhs.copy()
+    sol, _ = plan.solve(rhs)
+    assert not np.shares_memory(sol, rhs)
+    np.testing.assert_array_equal(rhs, before)
+    assert sol.dtype == plan.dtype and sol.flags.c_contiguous
+    again, _ = plan.solve(rhs)
+    assert not np.shares_memory(sol, again)
+    np.testing.assert_array_equal(sol, again)
+
+
+@st.composite
+def fd2_configs(draw):
+    """1-3D FD2 configs over all five rows and mixed periodic/wall patterns."""
+    bc, kind = draw(st.sampled_from(ROWS))
+    grids = []
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.sampled_from((1, 2, 3, 4, 5, 7, 8, 11, 13)))
+        length = draw(st.floats(0.5, 3.0))
+        if bc is BC.PERIODIC or draw(st.booleans()):
+            grids.append(periodic(n, length))
+        else:
+            if (bc, kind) == (BC.NEUMANN, GK.REGULAR):
+                n = max(n, 2)  # DCT-I needs two points
+            grids.append(GridSpec(n, length, bc, kind))
+    return SolverConfig(tuple(grids), AP.FINITE_DIFFERENCE_2)
+
+
+@settings(max_examples=80, deadline=None)
+@given(config=fd2_configs(), seed=st.integers(0, 2**32 - 1))
+def test_property_laplacian_of_solution_is_rhs_minus_mean(config, seed):
+    plan = SolverPlan(config)
+    f = np.random.default_rng(seed).standard_normal(config.shape)
+    sol, report = plan.solve(f)
+    resid = apply_discrete_laplacian(config, sol) - (f - report.removed_mean)
+    assert np.abs(resid).max() <= 1e-9 * np.abs(f).max()
+    if not config.singular:
+        assert report.removed_mean == 0.0
+        return
+    assert abs(sol.mean()) <= 1e-12 * max(np.abs(sol).max(), 1.0)
+    if all(g.kind is GK.STAGGERED or g.bc is BC.PERIODIC for g in config.grids):
+        # the left null vector is constant, so the removed part is the plain mean
+        assert report.removed_mean == pytest.approx(f.mean(), rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("grids,bound", [
+    ((periodic(32), GridSpec(32, 1.0, BC.NEUMANN, GK.STAGGERED),
+      GridSpec(32, 1.0, BC.NEUMANN, GK.STAGGERED)), 2.25),
+    (uniform_config(BC.DIRICHLET, GK.REGULAR, (32, 32, 32)).grids, 1.25),
+], ids=["P-Ns-Ns", "dirichlet"])
+def test_solve_workspace_bound(grids, bound, rng):
+    # a warm solve's allocation peak in units of the field: one working copy,
+    # plus the half spectrum or the reorder line buffer when there is a
+    # periodic axis; tracemalloc counts every numpy array, so it is deterministic
+    plan = SolverPlan(SolverConfig(grids, AP.FINITE_DIFFERENCE_2))
+    rhs = rng.standard_normal(plan.shape)
+    plan.solve(rhs)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        plan.solve(rhs)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * rhs.nbytes

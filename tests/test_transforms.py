@@ -194,3 +194,18 @@ def test_plan_applies_along_declared_axis(rng):
     plan_rows = TransformPlan(TK.DCT2, 5, axis=1)
     expected = np.stack([naive_transform(TK.DCT2, row) for row in f])
     np.testing.assert_allclose(plan_rows.execute_real(f), expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", REAL_KINDS, ids=lambda k: k.value)
+@pytest.mark.parametrize("axis", [0, -1])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_execute_real_overwrite_x(kind, axis, dtype, rng):
+    f = rng.standard_normal((5, 7)).astype(dtype)
+    plan = TransformPlan(kind, f.shape[axis], axis=axis)
+    before = f.copy()
+    expected = plan.execute_real(f)
+    np.testing.assert_array_equal(f, before)  # the default leaves the input alone
+    got = plan.execute_real(f, overwrite_x=True)
+    assert got.dtype == dtype
+    np.testing.assert_array_equal(got, expected)
+    assert np.shares_memory(got, f)  # transformed in place, nothing allocated
