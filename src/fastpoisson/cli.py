@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import statistics
 import sys
@@ -117,9 +118,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _add_config_flags(p, need_size=True):
     p.add_argument("--size", help="points per axis, e.g. 64 or 64,32,16" if need_size else argparse.SUPPRESS)
     p.add_argument("--length", help="physical lengths per axis (default 1 each)")
-    p.add_argument("--bc", default="periodic",
-                   help="boundary condition per axis: periodic|dirichlet|neumann")
-    p.add_argument("--grid", default="regular", help="grid kind per axis: regular|staggered")
+    p.add_argument("--bc", help="boundary condition per axis: periodic|dirichlet|neumann "
+                   "(default periodic)")
+    p.add_argument("--grid", help="grid kind per axis: regular|staggered (default regular)")
     p.add_argument("--approx", default="fd2", choices=sorted(_APPROX),
                    help="approximation (default fd2)")
     p.add_argument("--precision", default=None, choices=("double", "single"))
@@ -148,10 +149,19 @@ def _int_list(text, what):
         raise ConfigurationError(f"cannot parse {what} list {text!r}") from None
 
 
-def _grids_from_flags(args, dims, sizes):
-    lengths = _split(args.length, dims, float, "length") if args.length else [1.0] * dims
-    bcs = _split(args.bc, dims, lambda s: _BC[s], "bc")
-    kinds = _split(args.grid, dims, lambda s: _KIND[s], "grid")
+def _grids_from_flags(args, dims, sizes, header=None):
+    """Grids from the geometry flags.  A flag that is given overrides the
+    header; one left out takes the header's value, or its default (length 1,
+    periodic, regular) when there is no header."""
+
+    def per_axis(flag, convert, what, attr, default):
+        if flag is not None:
+            return _split(flag, dims, convert, what)
+        return [getattr(g, attr) for g in header] if header else [default] * dims
+
+    lengths = per_axis(args.length, float, "length", "length", 1.0)
+    bcs = per_axis(args.bc, lambda s: _BC[s], "bc", "bc", BoundaryCondition.PERIODIC)
+    kinds = per_axis(args.grid, lambda s: _KIND[s], "grid", "kind", GridKind.REGULAR)
     return tuple(GridSpec(n, L, bc, kind) for n, L, bc, kind in zip(sizes, lengths, bcs, kinds))
 
 
@@ -196,10 +206,7 @@ def cmd_solve(args) -> int:
                 file=sys.stderr,
             )
             return EXIT_CONFIG
-    if args.length or args.bc != "periodic" or args.grid != "regular" or header_grids is None:
-        grids = _grids_from_flags(args, dims, rhs.shape)
-    else:
-        grids = header_grids
+    grids = _grids_from_flags(args, dims, rhs.shape, header_grids)
     precision = args.precision or ("single" if rhs.dtype == np.float32 else "double")
     config = SolverConfig(grids, _APPROX[args.approx], precision=precision)
     plan = SolverPlan(config, threads=args.threads)
@@ -216,6 +223,7 @@ def cmd_solve(args) -> int:
                 "mode": report.mode,
                 "periodic_axes": list(report.periodic_axes),
                 "timing_seconds": report.timing,
+                "plan": dataclasses.asdict(plan.describe()),
             },
             fh,
             indent=2,

@@ -47,7 +47,12 @@ from .grid import (
     GridSpec,
 )
 from .reorder import ReorderPlan, gather_lines, make_buffer, scatter_lines
-from .transforms import TransformKind, TransformPlan, transform_pair_for
+from .transforms import (
+    TransformKind,
+    TransformPlan,
+    largest_prime_factor,
+    transform_pair_for,
+)
 
 _PRECISION_DTYPES = {"double": np.float64, "single": np.float32}
 
@@ -128,6 +133,35 @@ class SolveReport:
     timing: dict = dataclass_field(default_factory=dict)
 
 
+@dataclass(frozen=True)
+class AxisDescription:
+    """How a plan transforms one axis: its boundary row, the transform pair,
+    the length L of the FFT pocketfft runs, L's largest prime factor, and the
+    method (``"fft"`` or ``"matrix"``); the forward and backward transforms of
+    an axis share L and hence the method."""
+
+    bc: str
+    grid: str
+    n: int
+    forward: str
+    backward: str
+    fft_length: int
+    largest_prime: int
+    method: str
+
+
+@dataclass(frozen=True)
+class PlanDescription:
+    """What a plan will do, per axis, and its working dtype.
+
+    Every field is a string, an integer or a tuple of these descriptions, so
+    ``dataclasses.asdict(description)`` is ready for ``json.dump``.
+    """
+
+    axes: tuple
+    dtype: str
+
+
 class SolverPlan:
     """Immutable precomputation for one configuration: transform plans per axis,
     the combined eigenvalue array, and null-mode bookkeeping."""
@@ -155,7 +189,7 @@ class SolverPlan:
         )
         inv = np.zeros_like(lam)
         np.divide(backward_scale, lam, out=inv, where=lam != 0.0)
-        self._inv_lam = inv.astype(self.dtype)
+        self._inv_lam = inv.astype(self.dtype, copy=False)
         self.null_modes = combined.null_modes
 
         self._periodic_axes = config.periodic_axes
@@ -169,12 +203,17 @@ class SolverPlan:
         self._reorder = {}
         for ax in self._real_axes:
             g, pair = config.grids[ax], self._pairs[ax]
-            self._forward[ax] = TransformPlan(pair.forward, g.n, axis=ax, workers=self.threads)
-            self._backward[ax] = TransformPlan(pair.backward, g.n, axis=ax, workers=self.threads)
             # mixed solves run real transforms one axis at a time; lines along
-            # a non-contiguous axis go through the gather/scatter reorder pass
+            # a non-contiguous axis go through the gather/scatter reorder pass,
+            # whose line buffer the plans transform along its last axis
+            line_axis = ax
             if config.mode == "mixed" and ax != last:
                 self._reorder[ax] = ReorderPlan(self.shape, ax)
+                line_axis = -1
+            self._forward[ax] = TransformPlan(pair.forward, g.n, axis=line_axis,
+                                              workers=self.threads)
+            self._backward[ax] = TransformPlan(pair.backward, g.n, axis=line_axis,
+                                               workers=self.threads)
         if self.config.singular:
             self._null_scale = math.prod(
                 _ONES_NULL_COEFF[pair.forward](g.n)
@@ -184,6 +223,22 @@ class SolverPlan:
     @property
     def mode(self) -> str:
         return self.config.mode
+
+    def describe(self) -> PlanDescription:
+        """Per axis: row, transform pair, FFT length and its largest prime
+        factor, and the method; plus the working dtype."""
+        axes = []
+        for ax, (g, pair) in enumerate(zip(self.config.grids, self._pairs)):
+            plan = self._forward.get(ax)
+            # periodic axes go through rfftn/irfftn of their own length
+            length = plan.fft_length if plan else g.n
+            axes.append(AxisDescription(
+                bc=g.bc.value, grid=g.kind.value, n=g.n,
+                forward=pair.forward.value, backward=pair.backward.value,
+                fft_length=length, largest_prime=largest_prime_factor(length),
+                method=plan.method if plan else "fft",
+            ))
+        return PlanDescription(axes=tuple(axes), dtype=self.dtype.name)
 
     @property
     def singular(self) -> bool:
@@ -252,8 +307,7 @@ class SolverPlan:
             return plan.execute_real(work, overwrite_x=True)
         buf = make_buffer(rplan, dtype=work.dtype)
         gather_lines(rplan, work, buf)
-        lines = TransformPlan(plan.kind, plan.n, axis=-1, workers=self.threads)
-        buf = lines.execute_real(buf, overwrite_x=True)
+        buf = plan.execute_real(buf, overwrite_x=True)
         scatter_lines(rplan, buf, work)
         return work
 

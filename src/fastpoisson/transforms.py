@@ -30,20 +30,46 @@ backward leg is scaled so that backward(forward(f)) == f:
 Fast execution is delegated to ``scipy.fft`` (pocketfft), whose unnormalized
 real transforms implement exactly the sums above for arbitrary lengths,
 including primes.  pocketfft keeps an internal cache of twiddle/factorization
-plans per length, so repeated execution does not replan.  The output buffer
-is allocated per call, unless ``execute_real`` is told it may overwrite its
-input, in which case a float input is transformed in place.  Plans are
-immutable and may be executed concurrently on distinct buffers; plan creation
-is also concurrency-safe (there is no global planner lock, only the backend's
-internally synchronized cache).
+plans per length, so repeated execution does not replan.
+
+pocketfft evaluates a real transform through a real FFT of length L:
+2(n+1) for DST-I, 2(n-1) for DCT-I and n for types II and III.  When L has a
+large prime factor, pocketfft falls back to its generic radix pass, which is
+slow.  A real-transform plan therefore picks one of two methods from its kind
+and length alone (:attr:`TransformPlan.method`):
+
+* ``"matrix"`` when n <= 256 and the largest prime factor p of L is at least
+  13 and at least n^2 / (4 L): the transform is the dense n x n product with
+  the matrix that pocketfft itself gives for the identity, built at plan
+  creation and shared by the plans of one kind and length (the
+  fast-diagonalization method of Lynch, Rice & Thomas).  pocketfft's
+  generic pass costs about L p operations per line and the product n^2; below
+  L p = n^2 / 4 (DCT-I with n = 256, L = 510 = 2 3 5 17; DCT-II with
+  n = 104, 156, 208 or 255, p = 13 or 17) the product measured slower.
+  It runs in place in chunks through one temporary of at most 16 KiB.  The
+  product runs on BLAS, so its threads come from the BLAS library
+  (``OPENBLAS_NUM_THREADS``), not from ``workers``.
+* ``"fft"`` otherwise: pocketfft, parallel over lines with ``workers``.
+
+Only float32 and float64 arrays take the product; other dtypes (integer,
+complex, extended precision) always go to pocketfft, so the output dtype is
+pocketfft's in every case.  The output buffer is allocated per call, unless
+``execute_real`` is told it may overwrite its input, in which case a float
+input is transformed in place.  Plans are immutable and may be executed
+concurrently on distinct buffers; plan creation is also concurrency-safe
+(there is no global planner lock, only the backend's plan cache and the
+matrix cache, both internally synchronized).
 :func:`naive_transform` is the O(n^2) direct-summation oracle that fixes the
 conventions independently of the fast path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+import math
+from dataclasses import dataclass, field
 from enum import Enum
+from types import MappingProxyType
 
 import numpy as np
 from scipy import fft as _sfft
@@ -68,6 +94,16 @@ class TransformKind(Enum):
 
 # minimum length at which each kind is defined (DCT-I divides by n-1)
 _MIN_LENGTH = {TransformKind.DCT1: 2}
+
+# a real transform runs as a dense matrix product when its length is at most
+# _MATRIX_MAX_N and the largest prime factor of pocketfft's real-FFT length is
+# at least _MATRIX_MIN_PRIME (and large against n, see TransformPlan); the
+# product goes through one temporary of at most _MATRIX_CHUNK_BYTES, in the
+# working precisions below
+_MATRIX_MAX_N = 256
+_MATRIX_MIN_PRIME = 13
+_MATRIX_CHUNK_BYTES = 16 * 1024
+_MATRIX_DTYPES = (np.dtype(np.float64), np.dtype(np.float32))
 
 _REAL_DISPATCH = {
     TransformKind.DST1: (_sfft.dst, 1),
@@ -117,6 +153,16 @@ _PAIR_TABLE = {
 }
 
 
+def largest_prime_factor(m: int) -> int:
+    """Largest prime factor of a positive integer (1 for 1)."""
+    largest, p = 1, 2
+    while p * p <= m:
+        while m % p == 0:
+            largest, m = p, m // p
+        p += 1
+    return max(largest, m)
+
+
 def transform_pair_for(bc: BoundaryCondition, grid: GridKind) -> TransformPair:
     """The (forward, backward) transform pair for one boundary/grid row."""
     try:
@@ -133,19 +179,41 @@ class TransformPlan:
 
     Executes on lines of exactly length ``n`` along ``axis``; arrays with
     more dimensions are transformed line-by-line (vectorized over the other
-    axes).  ``workers`` > 1 lets the backend parallelize over lines.
+    axes).  ``workers`` > 1 lets pocketfft parallelize over lines.
+    ``method`` is ``"matrix"`` or ``"fft"``, chosen from ``kind`` and ``n`` by
+    the rule in the module docstring; a matrix plan holds the read-only n x n
+    transform matrix in float64 and float32, shared with every plan of the
+    same kind and length.
     """
 
     kind: TransformKind
     n: int
     axis: int = -1
     workers: int = 1
+    method: str = field(init=False, compare=False)
+    _matrices: MappingProxyType = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < _MIN_LENGTH.get(self.kind, 1):
             raise ConfigurationError(
                 f"{self.kind.value} requires n >= {_MIN_LENGTH[self.kind]}, got n={self.n}"
             )
+        length, prime = self.fft_length, largest_prime_factor(self.fft_length)
+        # pocketfft's generic pass costs about L*p per line, the product n^2
+        use_matrix = (not self.kind.is_complex and self.n <= _MATRIX_MAX_N
+                      and prime >= _MATRIX_MIN_PRIME and 4 * length * prime >= self.n ** 2)
+        object.__setattr__(self, "method", "matrix" if use_matrix else "fft")
+        object.__setattr__(self, "_matrices",
+                           _transform_matrices(self.kind, self.n) if use_matrix else _NO_MATRICES)
+
+    @property
+    def fft_length(self) -> int:
+        """Length L of the FFT pocketfft runs for this transform."""
+        if self.kind is TransformKind.DST1:
+            return 2 * (self.n + 1)
+        if self.kind is TransformKind.DCT1:
+            return 2 * (self.n - 1)
+        return self.n
 
     def _check(self, line: np.ndarray) -> np.ndarray:
         line = np.asarray(line)
@@ -159,16 +227,23 @@ class TransformPlan:
     def execute_real(self, line: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
         """Apply a real (DST/DCT) transform; output has the input's shape.
 
-        With ``overwrite_x`` the backend may write the result into ``line``
-        (a float32/float64 input is then transformed in place and nothing is
-        allocated); the caller must own ``line`` and use the returned array.
+        With ``overwrite_x`` the result may be written into ``line`` (a
+        float32/float64 input is then transformed in place, and only the
+        matrix method's small temporary is allocated); the caller must own
+        ``line`` and use the returned array.
         """
         if self.kind.is_complex:
             raise ValueError(f"{self.kind.value} is a complex transform; use execute_complex")
         line = self._check(line)
-        func, typ = _REAL_DISPATCH[self.kind]
-        return func(line, type=typ, axis=self.axis, overwrite_x=overwrite_x,
-                    workers=self.workers or None)
+        matrix = self._matrices.get(line.dtype)
+        if matrix is None:
+            func, typ = _REAL_DISPATCH[self.kind]
+            return func(line, type=typ, axis=self.axis, overwrite_x=overwrite_x,
+                        workers=self.workers or None)
+        if not (overwrite_x and line.flags.c_contiguous and line.flags.writeable):
+            line = np.array(line, order="C")
+        _matmul_in_place(matrix, line, self.axis)
+        return line
 
     def execute_complex(self, line: np.ndarray) -> np.ndarray:
         """Apply the DFT (forward, scaled by 1/n) or IDFT (unscaled)."""
@@ -178,6 +253,59 @@ class TransformPlan:
         if self.kind is TransformKind.DFT:
             return _sfft.fft(line, axis=self.axis, workers=self.workers or None) / self.n
         return _sfft.ifft(line, axis=self.axis, workers=self.workers or None) * self.n
+
+
+_NO_MATRICES = MappingProxyType({})
+
+
+@functools.lru_cache(maxsize=16)
+def _transform_matrices(kind: TransformKind, n: int) -> MappingProxyType:
+    """pocketfft's n x n matrix of a real ``kind``, read-only, per working
+    dtype; one copy serves every plan of that kind and length."""
+    func, typ = _REAL_DISPATCH[kind]
+    dense = func(np.eye(n), type=typ, axis=0)  # column j is the transform of e_j
+    matrices = {}
+    for dtype in _MATRIX_DTYPES:
+        matrix = dense.astype(dtype)
+        matrix.flags.writeable = False
+        matrices[dtype] = matrix
+    return MappingProxyType(matrices)
+
+
+def _matmul_in_place(matrix, x, axis):
+    """Apply ``matrix`` along ``axis`` of the C-contiguous ``x``, in place.
+
+    The product runs in chunks through one temporary of at most
+    ``_MATRIX_CHUNK_BYTES``: a chunk of rows when ``axis`` is the last one,
+    otherwise a block of columns of the ``(before, n, after)`` view, stacked
+    over the leading index when whole rows of columns fit.
+    """
+    if x.size == 0:
+        return
+    n = matrix.shape[0]
+    axis %= x.ndim
+    before = math.prod(x.shape[:axis])
+    after = math.prod(x.shape[axis + 1:])
+    lines = max(1, _MATRIX_CHUNK_BYTES // (n * x.itemsize))  # lines per chunk
+    if after == 1:
+        rows = x.reshape(before, n)
+        tmp = np.empty((min(lines, before), n), dtype=x.dtype)
+        for r in range(0, before, lines):
+            block = rows[r:r + lines]
+            chunk = tmp[:len(block)]
+            np.matmul(block, matrix.T, out=chunk)
+            block[...] = chunk
+        return
+    cols = x.reshape(before, n, after)
+    width = min(lines, after)
+    depth = min(lines // width, before)
+    tmp = np.empty((depth, n, width), dtype=x.dtype)
+    for a in range(0, before, depth):
+        for b in range(0, after, width):
+            block = cols[a:a + depth, :, b:b + width]
+            chunk = tmp[:block.shape[0], :, :block.shape[2]]
+            np.matmul(matrix, block, out=chunk)
+            block[...] = chunk
 
 
 def naive_transform(kind: TransformKind, line) -> np.ndarray:

@@ -27,7 +27,10 @@ def test_solve_writes_outputs_and_manifest(rhs_file, tmp_path):
     assert solution.shape == (12, 10)
     assert grids[0].bc is BC.NEUMANN
     report = json.loads((out / "report.json").read_text())
-    assert set(report) == {"removed_mean", "mode", "periodic_axes", "timing_seconds"}
+    assert set(report) == {"removed_mean", "mode", "periodic_axes", "timing_seconds", "plan"}
+    assert report["plan"]["dtype"] == "float64"
+    assert [(a["bc"], a["grid"], a["n"], a["forward"], a["backward"]) for a in report["plan"]["axes"]] == [
+        ("neumann", "staggered", 12, "dct2", "dct3"), ("neumann", "staggered", 10, "dct2", "dct3")]
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["subcommand"] == "solve"
     assert manifest["library_version"]
@@ -58,6 +61,35 @@ def test_solve_flag_header_mismatch_exits_2(rhs_file, tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "(8, 8)" in err and "(12, 10)" in err
+
+
+@pytest.mark.parametrize("flags,in_header,expected", [
+    (["--bc", "periodic"], GridSpec(6, 2.0, BC.DIRICHLET, GK.REGULAR),
+     GridSpec(6, 2.0, BC.PERIODIC, GK.REGULAR)),
+    (["--grid", "regular"], GridSpec(6, 2.0, BC.NEUMANN, GK.STAGGERED),
+     GridSpec(6, 2.0, BC.NEUMANN, GK.REGULAR)),
+    (["--length", "3"], GridSpec(6, 2.0, BC.DIRICHLET, GK.STAGGERED),
+     GridSpec(6, 3.0, BC.DIRICHLET, GK.STAGGERED)),
+], ids=["bc", "grid", "length"])
+def test_solve_flag_overrides_header(flags, in_header, expected, tmp_path, rng):
+    # an explicit flag wins even when it names the flag's default value; the
+    # attributes it does not name keep the header's values
+    header = write_field(tmp_path / "r", rng.standard_normal((6, 6)), (in_header,) * 2)
+    out = tmp_path / "out"
+    assert main(["solve", "--in", str(header), *flags, "--out", str(out)]) == 0
+    _, grids = read_field(out / "solution.json")
+    assert grids == (expected, expected)
+
+
+def test_solve_report_describes_plan(tmp_path, rng):
+    grids = (GridSpec(52, 1.0, BC.DIRICHLET, GK.REGULAR), GridSpec(8, 1.0, BC.DIRICHLET, GK.REGULAR))
+    header = write_field(tmp_path / "r", rng.standard_normal((52, 8)).astype(np.float32), grids)
+    out = tmp_path / "out"
+    assert main(["solve", "--in", str(header), "--out", str(out)]) == 0
+    plan = json.loads((out / "report.json").read_text())["plan"]
+    assert plan["dtype"] == "float32"
+    assert [(a["fft_length"], a["largest_prime"], a["method"]) for a in plan["axes"]] == [
+        (106, 53, "matrix"), (18, 3, "fft")]
 
 
 def test_solve_missing_input_exits_3(tmp_path):

@@ -1,4 +1,8 @@
+import dataclasses
+import json
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -255,8 +259,6 @@ def test_plan_state_not_mutated_by_solve(rng):
 
 
 def test_concurrent_solves_on_shared_plan(rng):
-    from concurrent.futures import ThreadPoolExecutor
-
     plan = SolverPlan(uniform_config(BC.DIRICHLET, GK.REGULAR, (16, 16)))
     inputs = [rng.standard_normal((16, 16)) for _ in range(8)]
     expected = [plan.solve(r)[0] for r in inputs]
@@ -264,6 +266,75 @@ def test_concurrent_solves_on_shared_plan(rng):
         results = list(pool.map(lambda r: plan.solve(r)[0], inputs))
     for got, want in zip(results, expected):
         np.testing.assert_array_equal(got, want)
+
+
+def test_matrix_plan_repeated_and_concurrent_solves_bit_identical(rng):
+    # the benchmark's dirbox3d configuration, whose DST-I axes take the matrix;
+    # more threads than cores, with a short switch interval
+    config = uniform_config(BC.DIRICHLET, GK.REGULAR, (52, 52, 52), AP.PSEUDO_SPECTRAL)
+    plan = SolverPlan(config)
+    assert {axis.method for axis in plan.describe().axes} == {"matrix"}
+    inputs = [rng.standard_normal(plan.shape) for _ in range(4)]
+    expected = [plan.solve(r)[0] for r in inputs]
+    for r, want in zip(inputs, expected):
+        np.testing.assert_array_equal(plan.solve(r)[0], want)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(plan.solve, r) for r in inputs * 2]
+            results = [f.result(timeout=120)[0] for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for got, want in zip(results, expected * 2):
+        np.testing.assert_array_equal(got, want)
+
+
+_MATRIX_LAYOUTS = {
+    # DST-I n = 12: FFT length 26 = 2 * 13
+    "dirichlet-2d": uniform_config(BC.DIRICHLET, GK.REGULAR, (12, 7)).grids,
+    # DCT-II/III n = 13 on a strided (reordered) axis and on the last axis
+    "neumann-stag-strided": (GridSpec(13, 1.0, BC.NEUMANN, GK.STAGGERED), periodic(4),
+                             GridSpec(13, 2.0, BC.NEUMANN, GK.STAGGERED)),
+    # DCT-I n = 14: FFT length 26
+    "neumann-reg-first": (GridSpec(14, 1.5, BC.NEUMANN, GK.REGULAR), periodic(6)),
+}
+
+
+@pytest.mark.parametrize("precision", ["double", "single"])
+@pytest.mark.parametrize("grids", list(_MATRIX_LAYOUTS.values()), ids=list(_MATRIX_LAYOUTS))
+def test_matrix_axes_match_dense_oracle(grids, precision, rng):
+    config = SolverConfig(grids, AP.FINITE_DIFFERENCE_2, precision=precision)
+    plan = SolverPlan(config)
+    assert "matrix" in {axis.method for axis in plan.describe().axes}
+    mat = laplacian_matrix(config)
+    rhs = (mat @ rng.standard_normal(config.shape).ravel()).reshape(config.shape)
+    sol, _ = plan.solve(rhs.astype(config.dtype))
+    assert sol.dtype == config.dtype
+    ref = dense_oracle_solve(config, rhs)
+    tol = 1e-9 if precision == "double" else 1e-4
+    assert np.abs(sol - ref).max() <= tol * np.abs(ref).max()
+
+
+def test_describe_is_frozen_and_json_ready():
+    grids = (periodic(8), GridSpec(52, 1.0, BC.DIRICHLET, GK.REGULAR),
+             GridSpec(63, 1.0, BC.DIRICHLET, GK.REGULAR))
+    described = SolverPlan(SolverConfig(grids, AP.FINITE_DIFFERENCE_2, precision="single")).describe()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        described.dtype = "float64"
+
+    def axis(bc, n, fwd, bwd, length, prime, method):
+        return {"bc": bc, "grid": "regular", "n": n, "forward": fwd, "backward": bwd,
+                "fft_length": length, "largest_prime": prime, "method": method}
+
+    assert json.loads(json.dumps(dataclasses.asdict(described))) == {
+        "dtype": "float32",
+        "axes": [
+            axis("periodic", 8, "dft", "idft", 8, 2, "fft"),
+            axis("dirichlet", 52, "dst1", "dst1", 106, 53, "matrix"),
+            axis("dirichlet", 63, "dst1", "dst1", 128, 2, "fft"),
+        ],
+    }
 
 
 # -- mixed-boundary paths ---------------------------------------------------------
@@ -491,11 +562,13 @@ def test_property_laplacian_of_solution_is_rhs_minus_mean(config, seed):
     ((periodic(32), GridSpec(32, 1.0, BC.NEUMANN, GK.STAGGERED),
       GridSpec(32, 1.0, BC.NEUMANN, GK.STAGGERED)), 2.25),
     (uniform_config(BC.DIRICHLET, GK.REGULAR, (32, 32, 32)).grids, 1.25),
-], ids=["P-Ns-Ns", "dirichlet"])
+    (uniform_config(BC.DIRICHLET, GK.REGULAR, (52, 52, 52)).grids, 1.25),
+], ids=["P-Ns-Ns", "dirichlet", "dirichlet-matrix"])
 def test_solve_workspace_bound(grids, bound, rng):
     # a warm solve's allocation peak in units of the field: one working copy,
     # plus the half spectrum or the reorder line buffer when there is a
-    # periodic axis; tracemalloc counts every numpy array, so it is deterministic
+    # periodic axis, or the matrix method's 16 KiB temporary (n = 52);
+    # tracemalloc counts every numpy array, so it is deterministic
     plan = SolverPlan(SolverConfig(grids, AP.FINITE_DIFFERENCE_2))
     rhs = rng.standard_normal(plan.shape)
     plan.solve(rhs)

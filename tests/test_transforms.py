@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy import fft as sfft
 
 from fastpoisson.grid import BoundaryCondition as BC, ConfigurationError, GridKind as GK
 from fastpoisson.transforms import (
     TransformKind as TK,
     TransformPlan,
+    largest_prime_factor,
     naive_transform,
     transform_pair_for,
 )
@@ -209,3 +212,124 @@ def test_execute_real_overwrite_x(kind, axis, dtype, rng):
     assert got.dtype == dtype
     np.testing.assert_array_equal(got, expected)
     assert np.shares_memory(got, f)  # transformed in place, nothing allocated
+
+
+# -- method: dense matrix product or pocketfft ----------------------------------
+
+
+@pytest.mark.parametrize("kind,n,length,method", [
+    (TK.DST1, 52, 106, "matrix"),  # 2 * 53
+    (TK.DCT2, 52, 52, "matrix"),  # 4 * 13
+    (TK.DCT2, 64, 64, "fft"),
+    (TK.DCT2, 112, 112, "fft"),  # 2^4 * 7
+    (TK.DST1, 512, 1026, "fft"),  # 2 * 513 = 2 * 27 * 19, but n > 256
+    (TK.DST1, 64, 130, "matrix"),  # 2 * 5 * 13
+    (TK.DST1, 256, 514, "matrix"),  # 2 * 257
+    (TK.DCT1, 128, 254, "matrix"),  # 2 * 127
+    (TK.DCT1, 129, 256, "fft"),
+    # 13 <= p but L p < n^2 / 4: the product would be slower than pocketfft
+    (TK.DCT1, 256, 510, "fft"),  # 2 * 3 * 5 * 17
+    (TK.DCT2, 208, 208, "fft"),  # 16 * 13
+    (TK.DST1, 168, 338, "fft"),  # 2 * 13^2
+    (TK.DST3, 13, 13, "matrix"),
+    (TK.DST2, 11, 11, "fft"),
+    (TK.DFT, 53, 53, "fft"),  # complex transforms always use pocketfft
+], ids=lambda v: getattr(v, "value", v))
+def test_method_selection(kind, n, length, method):
+    plan = TransformPlan(kind, n)
+    assert (plan.fft_length, plan.method) == (length, method)
+
+
+@pytest.mark.parametrize("m,largest", [(1, 1), (2, 2), (13, 13), (64, 2), (106, 53),
+                                       (258, 43), (1026, 19), (2 * 3 * 5 * 7 * 11, 11)])
+def test_largest_prime_factor(m, largest):
+    assert largest_prime_factor(m) == largest
+
+
+def test_matrix_is_read_only_shared_and_in_both_precisions():
+    plan = TransformPlan(TK.DST1, 52)
+    assert set(plan._matrices) == {np.dtype(np.float64), np.dtype(np.float32)}
+    for matrix in plan._matrices.values():
+        assert matrix.shape == (52, 52) and not matrix.flags.writeable
+    other = TransformPlan(TK.DST1, 52, axis=0)
+    assert other._matrices[np.dtype(np.float64)] is plan._matrices[np.dtype(np.float64)]
+    assert TransformPlan(TK.DST1, 52) == plan  # the matrices do not enter equality
+
+
+@st.composite
+def real_transform_cases(draw):
+    """A real kind, a length 1-80, a 1-3D shape with the transformed axis at
+    any position (negative too), a working dtype and the overwrite flag."""
+    kind = draw(st.sampled_from(REAL_KINDS))
+    n = draw(st.integers(2 if kind is TK.DCT1 else 1, 80))
+    ndim = draw(st.integers(1, 3))
+    axis = draw(st.integers(-ndim, ndim - 1))
+    shape = [draw(st.integers(1, 4)) for _ in range(ndim)]
+    shape[axis] = n
+    dtype = draw(st.sampled_from([np.float64, np.float32]))
+    return kind, tuple(shape), axis, dtype, draw(st.booleans()), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(real_transform_cases())
+def test_property_execute_real_matches_naive(case):
+    kind, shape, axis, dtype, overwrite, seed = case
+    n = shape[axis]
+    x = np.random.default_rng(seed).standard_normal(shape).astype(dtype)
+    before = x.copy()
+    plan = TransformPlan(kind, n, axis=axis)
+    got = plan.execute_real(x, overwrite_x=overwrite)
+    assert got.shape == shape and got.dtype == dtype
+
+    def naive(a):
+        return np.apply_along_axis(lambda v: naive_transform(kind, v), axis, a)
+
+    ref = naive(before.astype(np.float64))
+    tol = (1e-11 if dtype is np.float64 else 1e-5) * n * max(np.abs(before).max(), 1.0)
+    assert np.abs(got - ref).max() <= tol
+    if not overwrite:
+        np.testing.assert_array_equal(x, before)
+    elif plan.method == "matrix":
+        assert np.shares_memory(got, x)  # transformed in place
+
+    # the result dtype is pocketfft's for float, integer and complex input
+    func, typ = {TK.DST1: (sfft.dst, 1), TK.DST2: (sfft.dst, 2), TK.DST3: (sfft.dst, 3),
+                 TK.DCT1: (sfft.dct, 1), TK.DCT2: (sfft.dct, 2), TK.DCT3: (sfft.dct, 3)}[kind]
+    as_int = np.rint(4 * before).astype(np.int32)
+    as_complex = before + 1j * before[::-1].copy()
+    for probe in (before, as_int, as_complex):
+        out = plan.execute_real(probe)
+        assert out.dtype == func(probe, type=typ, axis=axis).dtype, probe.dtype
+    np.testing.assert_allclose(plan.execute_real(as_int), naive(as_int.astype(np.float64)),
+                               rtol=0, atol=1e-11 * n * max(np.abs(as_int).max(), 1))
+
+
+def test_matrix_method_on_strided_and_read_only_input(rng):
+    base = rng.standard_normal((52, 10))
+    plan = TransformPlan(TK.DST1, 52, axis=0)
+    expected = sfft.dst(base[:, ::2], type=1, axis=0)
+    view = base[:, ::2]  # not contiguous: transformed into a fresh array
+    got = plan.execute_real(view, overwrite_x=True)
+    np.testing.assert_allclose(got, expected, atol=1e-12 * np.abs(expected).max())
+    frozen = base.copy()
+    frozen.flags.writeable = False
+    before = frozen.copy()
+    got = plan.execute_real(frozen, overwrite_x=True)
+    np.testing.assert_array_equal(frozen, before)
+    np.testing.assert_allclose(got, sfft.dst(before, type=1, axis=0),
+                               atol=1e-12 * np.abs(got).max())
+
+
+@pytest.mark.parametrize("shape,axis", [
+    ((52, 52, 52), 0), ((52, 52, 52), 1), ((52, 52, 52), 2),  # partial row/column chunks
+    ((7, 52, 10), 1),  # column blocks stacked over the leading index, the last one partial
+], ids=["axis0", "axis1", "axis2", "stacked"])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_matrix_chunks_cover_every_line(shape, axis, dtype, rng):
+    x = rng.standard_normal(shape).astype(dtype)
+    plan = TransformPlan(TK.DST1, 52, axis=axis)
+    assert plan.method == "matrix"
+    expected = sfft.dst(x.astype(np.float64), type=1, axis=axis)
+    got = plan.execute_real(x, overwrite_x=True)
+    tol = 1e-12 if dtype is np.float64 else 1e-5
+    assert np.abs(got - expected).max() <= tol * np.abs(expected).max()
