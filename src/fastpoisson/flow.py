@@ -20,6 +20,15 @@ staggered Neumann conditions for the pressure.  Arrangement:
 Advective terms use second-order conservative central differences (the
 divergence form of the momentum flux); viscosity is a constant and is treated
 explicitly inside the RK3 stage weights.
+
+Differences and averages along a periodic axis are taken on slices, not on
+shifted copies (``np.roll``): one ufunc call pairs offset views of the
+flattened arrays, and a second one writes the line where the periodic wrap
+lands (``_rolled``).  Wall-bounded z differences are plain slices.  Each
+entry is the same IEEE operation on the same operands as in the rolled
+stencil, so the results are bit-identical to it.  The terms and a step write
+only into arrays they allocate, so arrays that a caller took from
+``flow.velocity`` or ``flow.pressure`` keep their values.
 """
 
 from __future__ import annotations
@@ -80,6 +89,8 @@ class StaggeredVelocity:
                 f"w shape {self.w.shape} inconsistent with u shape {self.u.shape} "
                 f"({'walls' if self.z_walls else 'periodic'} in z; expected {expected_w})"
             )
+        if self.z_walls and nz < 2:
+            raise ValueError(f"walls in z need at least two cells between them, got {nz}")
         if self.nu < 0:
             raise ValueError("viscosity must be non-negative")
 
@@ -111,14 +122,60 @@ class PressureField:
         return cls(np.zeros(cells), np.zeros(cells))
 
 
+def _new(a, shape=None):
+    """Uninitialized C-contiguous array for a difference of ``a``: ``a``'s
+    dtype when it is inexact, else float64 (as true division would give)."""
+    dtype = a.dtype if a.dtype.kind in "fc" else np.float64
+    return np.empty(a.shape if shape is None else shape, dtype)
+
+
+# the first and last line along each axis of a 2D array
+_LINE = {(0, 0): (0,), (0, -1): (-1,), (1, 0): (slice(None), 0), (1, -1): (slice(None), -1)}
+
+
+def _rolled(op, a, b, shift, axis, out, rolled_first=False):
+    """Write ``op(a, np.roll(b, shift, axis))`` into ``out`` (or, with
+    ``rolled_first``, ``op(np.roll(a, shift, axis), b)``) for a shift of one
+    cell either way, without making the shifted copy.
+
+    ``out`` is a C-contiguous 2D array that shares no memory with ``a`` or
+    ``b``.  The first ufunc call pairs the flattened operands one line apart
+    along ``axis``.  Along the last axis that also pairs the end of one row
+    with the start of the next; the second call, on the line where the
+    periodic wrap lands, overwrites those entries.  Each entry is the same
+    IEEE operation on the same operands as in the rolled expression, so the
+    result is bit-identical to it.
+    """
+    step = out.shape[1] if axis == 0 else 1
+    size = out.size
+    head, tail = slice(0, size - step), slice(step, size)
+    # np.roll(x, -1)[i] == x[i + 1] and np.roll(x, 1)[i] == x[i - 1]
+    if shift == -1:
+        here, there, edge, wrap = head, tail, _LINE[axis, -1], _LINE[axis, 0]
+    else:
+        here, there, edge, wrap = tail, head, _LINE[axis, 0], _LINE[axis, -1]
+    flat_a, flat_b, flat_out = a.reshape(-1), b.reshape(-1), out.reshape(-1)
+    if rolled_first:
+        op(flat_a[there], flat_b[here], out=flat_out[here])
+        op(a[wrap], b[edge], out=out[edge])
+    else:
+        op(flat_a[here], flat_b[there], out=flat_out[here])
+        op(a[edge], b[wrap], out=out[edge])
+    return out
+
+
 def divergence(vel: StaggeredVelocity) -> np.ndarray:
     """Cell-centered divergence: sum over axes of face differences / spacing."""
     dx, dz = vel.spacing
-    div = (np.roll(vel.u, -1, axis=0) - vel.u) / dx
+    u, w = vel.u, vel.w
+    div = _rolled(np.subtract, u, u, -1, 0, _new(u), rolled_first=True)
+    div /= dx
     if vel.z_walls:
-        div += (vel.w[:, 1:] - vel.w[:, :-1]) / dz
+        dw = np.subtract(w[:, 1:], w[:, :-1], out=_new(w, u.shape))
     else:
-        div += (np.roll(vel.w, -1, axis=1) - vel.w) / dz
+        dw = _rolled(np.subtract, w, w, -1, 1, _new(w), rolled_first=True)
+    dw /= dz
+    div += dw
     return div
 
 
@@ -129,60 +186,84 @@ def gradient(vel: StaggeredVelocity, scalar: np.ndarray):
     pinned wall velocities untouched by the corrector.
     """
     dx, dz = vel.spacing
-    gx = (scalar - np.roll(scalar, 1, axis=0)) / dx
+    gx = _rolled(np.subtract, scalar, scalar, 1, 0, _new(scalar))
+    gx /= dx
     if vel.z_walls:
         nx, nz = scalar.shape
-        gz = np.zeros((nx, nz + 1))
-        gz[:, 1:-1] = (scalar[:, 1:] - scalar[:, :-1]) / dz
+        gz = np.zeros((nx, nz + 1), gx.dtype)
+        inner = np.subtract(scalar[:, 1:], scalar[:, :-1], out=gz[:, 1:-1])
+        inner /= dz
     else:
-        gz = (scalar - np.roll(scalar, 1, axis=1)) / dz
+        gz = _rolled(np.subtract, scalar, scalar, 1, 1, _new(scalar))
+        gz /= dz
     return gx, gz
 
 
 def _corner_flux(vel: StaggeredVelocity) -> np.ndarray:
     """u*w interpolated to cell corners (where neither component lives)."""
+    u, w = vel.u, vel.w
+    wc = _rolled(np.add, w, w, 1, 0, _new(w))
+    wc *= 0.5
     if vel.z_walls:
-        nx, nz = vel.cells
-        wc = (vel.w + np.roll(vel.w, 1, axis=0)) / 2.0  # (nx, nz+1) at corners
-        uc = np.empty((nx, nz + 1))
-        uc[:, 1:-1] = (vel.u[:, 1:] + vel.u[:, :-1]) / 2.0
+        uc = _new(u, w.shape)  # (nx, nz+1) at corners
+        inner = np.add(u[:, 1:], u[:, :-1], out=uc[:, 1:-1])
+        inner *= 0.5
         uc[:, 0] = 0.0  # wall values never used: w is 0 there
         uc[:, -1] = 0.0
-        return uc * wc
-    uc = (vel.u + np.roll(vel.u, 1, axis=1)) / 2.0
-    wc = (vel.w + np.roll(vel.w, 1, axis=0)) / 2.0
-    return uc * wc
+    else:
+        uc = _rolled(np.add, u, u, 1, 1, _new(u))
+        uc *= 0.5
+    uc *= wc
+    return uc
 
 
 def advective_term(vel: StaggeredVelocity):
     """-div(u (x) u) on each face grid, second-order conservative form."""
     dx, dz = vel.spacing
+    u, w = vel.u, vel.w
     corner = _corner_flux(vel)
 
     # u momentum: -(d(uu)/dx + d(wu)/dz) at x-faces
-    uc = (vel.u + np.roll(vel.u, -1, axis=0)) / 2.0  # u at cell centers
-    fxx = uc * uc
-    au = -(fxx - np.roll(fxx, 1, axis=0)) / dx
+    fxx = _rolled(np.add, u, u, -1, 0, _new(u))  # u at cell centers, halved and squared below
+    fxx *= 0.5
+    fxx *= fxx
+    au = _rolled(np.subtract, fxx, fxx, 1, 0, _new(u))
+    au /= -dx
     if vel.z_walls:
-        au -= (corner[:, 1:] - corner[:, :-1]) / dz
+        dcz = np.subtract(corner[:, 1:], corner[:, :-1], out=fxx)
     else:
-        au -= (np.roll(corner, -1, axis=1) - corner) / dz
+        dcz = _rolled(np.subtract, corner, corner, -1, 1, fxx, rolled_first=True)
+    dcz /= dz
+    au -= dcz
 
     # w momentum: -(d(uw)/dx + d(ww)/dz) at z-faces
+    dcx = _rolled(np.subtract, corner, corner, -1, 0, _new(corner), rolled_first=True)
+    dcx /= dx
     if vel.z_walls:
-        wc = (vel.w[:, 1:] + vel.w[:, :-1]) / 2.0  # w at cell centers (nx, nz)
-        fzz = wc * wc
-        aw = np.zeros_like(vel.w)
-        aw[:, 1:-1] = -(fzz[:, 1:] - fzz[:, :-1]) / dz
-        aw -= (np.roll(corner, -1, axis=0) - corner) / dx
+        fzz = np.add(w[:, 1:], w[:, :-1], out=fxx)  # w at cell centers, (nx, nz)
+        fzz *= 0.5
+        fzz *= fzz
+        aw = _new(w)
+        inner = np.subtract(fzz[:, 1:], fzz[:, :-1], out=aw[:, 1:-1])
+        inner /= -dz
+        inner -= dcx[:, 1:-1]
         aw[:, 0] = 0.0
         aw[:, -1] = 0.0
     else:
-        wc = (vel.w + np.roll(vel.w, -1, axis=1)) / 2.0
-        fzz = wc * wc
-        aw = -(fzz - np.roll(fzz, 1, axis=1)) / dz
-        aw -= (np.roll(corner, -1, axis=0) - corner) / dx
+        fzz = _rolled(np.add, w, w, -1, 1, fxx, rolled_first=True)
+        fzz *= 0.5
+        fzz *= fzz
+        aw = _rolled(np.subtract, fzz, fzz, 1, 1, _new(w))
+        aw /= -dz
+        aw -= dcx
     return au, aw
+
+
+def _second_difference(a, twice, axis, tmp, out):
+    """``np.roll(a, -1, axis) - twice + np.roll(a, 1, axis)`` with ``twice`` =
+    2 a, through ``tmp``; ``out`` may be ``twice`` but no other operand."""
+    _rolled(np.subtract, a, twice, -1, axis, tmp, rolled_first=True)
+    return _rolled(np.add, tmp, a, 1, axis, out)
 
 
 def viscous_term(vel: StaggeredVelocity):
@@ -195,26 +276,40 @@ def viscous_term(vel: StaggeredVelocity):
     dx, dz = vel.spacing
     u, w = vel.u, vel.w
 
-    lu = (np.roll(u, -1, axis=0) - 2.0 * u + np.roll(u, 1, axis=0)) / dx ** 2
+    twice = np.multiply(u, 2.0, out=_new(u))
+    tmp = _new(u)
+    lu = _second_difference(u, twice, 0, tmp, _new(u))
+    lu /= dx ** 2
     if vel.z_walls:
-        d2z = np.empty_like(u)
-        d2z[:, 1:-1] = u[:, 2:] - 2.0 * u[:, 1:-1] + u[:, :-2]
-        d2z[:, 0] = u[:, 1] - 3.0 * u[:, 0]
-        d2z[:, -1] = u[:, -2] - 3.0 * u[:, -1]
-        lu += d2z / dz ** 2
+        d2z = tmp
+        inner = np.subtract(u[:, 2:], twice[:, 1:-1], out=d2z[:, 1:-1])
+        inner += u[:, :-2]
+        for wall, first in ((0, 1), (-1, -2)):  # ghost = -u at the wall
+            edge = np.multiply(u[:, wall], 3.0, out=d2z[:, wall])
+            np.subtract(u[:, first], edge, out=edge)
     else:
-        lu += (np.roll(u, -1, axis=1) - 2.0 * u + np.roll(u, 1, axis=1)) / dz ** 2
+        d2z = _second_difference(u, twice, 1, tmp, twice)
+    d2z /= dz ** 2
+    lu += d2z
 
-    lw = (np.roll(w, -1, axis=0) - 2.0 * w + np.roll(w, 1, axis=0)) / dx ** 2
+    twice = np.multiply(w, 2.0, out=_new(w))
+    tmp = _new(w)
+    lw = _second_difference(w, twice, 0, tmp, _new(w))
+    lw /= dx ** 2
     if vel.z_walls:
-        d2z = np.zeros_like(w)
-        d2z[:, 1:-1] = w[:, 2:] - 2.0 * w[:, 1:-1] + w[:, :-2]
-        lw += d2z / dz ** 2
+        inner = np.subtract(w[:, 2:], twice[:, 1:-1], out=tmp[:, 1:-1])
+        inner += w[:, :-2]
+        inner /= dz ** 2
+        lw[:, 1:-1] += inner
         lw[:, 0] = 0.0
         lw[:, -1] = 0.0
     else:
-        lw += (np.roll(w, -1, axis=1) - 2.0 * w + np.roll(w, 1, axis=1)) / dz ** 2
-    return vel.nu * lu, vel.nu * lw
+        d2z = _second_difference(w, twice, 1, tmp, twice)
+        d2z /= dz ** 2
+        lw += d2z
+    lu *= vel.nu
+    lw *= vel.nu
+    return lu, lw
 
 
 class ProjectionFlow:
@@ -260,26 +355,36 @@ class ProjectionFlow:
         fx, fz = self.forcing
 
         self.stage_divergence = []
+        if not (np.isfinite(vel.u).all() and np.isfinite(vel.w).all()):
+            raise FloatingPointError(
+                f"non-finite velocity entering stage 1 of step {self.step_count + 1}"
+            )
+        # each later stage starts from the state the after-stage check passed
         prev_hu = prev_hw = None
         for k in range(3):
-            if not (np.isfinite(vel.u).all() and np.isfinite(vel.w).all()):
-                raise FloatingPointError(
-                    f"non-finite velocity entering stage {k + 1} of step {self.step_count + 1}"
-                )
-            au, aw = advective_term(vel)
+            hu, hw = advective_term(vel)
             vu, vw = viscous_term(vel)
-            hu = au + vu + fx
-            hw = aw + vw + fz
+            hu += vu
+            hu += fx
+            hw += vw
+            hw += fz
             if vel.z_walls:
                 hw[:, 0] = 0.0
                 hw[:, -1] = 0.0
 
-            gpx, gpz = gradient(vel, pres.p)
-            ustar = vel.u + dt * (-alpha[k] * gpx + gamma[k] * hu)
-            wstar = vel.w + dt * (-alpha[k] * gpz + gamma[k] * hw)
+            # u* = u + dt (-alpha_k grad p + gamma_k h_k + zeta_k h_{k-1}),
+            # evaluated in place in fresh arrays in that order of operations
+            ustar, wstar = gradient(vel, pres.p)
+            for pred, h, buf, old in ((ustar, hu, vu, vel.u), (wstar, hw, vw, vel.w)):
+                pred *= -alpha[k]
+                pred += np.multiply(h, gamma[k], out=buf)
+                pred *= dt
+                pred += old
             if zeta[k] != 0.0:
-                ustar += dt * zeta[k] * prev_hu
-                wstar += dt * zeta[k] * prev_hw
+                prev_hu *= dt * zeta[k]
+                prev_hw *= dt * zeta[k]
+                ustar += prev_hu
+                wstar += prev_hw
             prev_hu, prev_hw = hu, hw
 
             if not (np.isfinite(ustar).all() and np.isfinite(wstar).all()):
@@ -287,11 +392,16 @@ class ProjectionFlow:
                     f"non-finite predictor velocity in stage {k + 1} of step {self.step_count + 1}"
                 )
             star = StaggeredVelocity(ustar, wstar, vel.lengths, vel.nu, vel.z_walls)
-            rhs = divergence(star) / (alpha[k] * dt)
+            rhs = divergence(star)
+            rhs /= alpha[k] * dt
             phi, _ = self.poisson.solve(rhs)
             gfx, gfz = gradient(vel, phi)
-            vel.u = ustar - alpha[k] * dt * gfx
-            vel.w = wstar - alpha[k] * dt * gfz
+            gfx *= alpha[k] * dt
+            gfz *= alpha[k] * dt
+            ustar -= gfx
+            wstar -= gfz
+            # new arrays each stage: arrays a caller holds are never written
+            vel.u, vel.w = ustar, wstar
             pres.p = pres.p + phi
             pres.phi = phi
 

@@ -125,7 +125,12 @@ class SolverConfig:
 
 @dataclass
 class SolveReport:
-    """Outcome bookkeeping for one solve."""
+    """Outcome bookkeeping for one solve.
+
+    ``timing`` holds wall-clock seconds per phase, in call order: ``setup``
+    (input checks, copy-in), ``forward``, ``diagonal``, ``backward`` and
+    ``finish`` (copy into ``out``); together they cover the whole call.
+    """
 
     removed_mean: float = 0.0
     mode: str = "uniform"
@@ -253,6 +258,7 @@ class SolverPlan:
         Without ``out`` the solution is a fresh C-contiguous array in the
         plan's precision.
         """
+        t_enter = time.perf_counter()
         rhs_arr = as_array(rhs)
         if rhs_arr.shape != self.shape:
             raise ValueError(f"rhs extents {rhs_arr.shape} do not match plan extents {self.shape}")
@@ -270,8 +276,8 @@ class SolverPlan:
         # the one working copy; every pass below rebinds ``work`` in this frame
         # so that the array it replaces is freed as soon as the pass returns
         work = np.array(rhs_arr, dtype=self.dtype, copy=True, order="C")
-
         t0 = time.perf_counter()
+
         for ax in self._real_axes:
             work = self._real_transform(work, ax, forward=True)
         if self._periodic_axes:
@@ -291,11 +297,15 @@ class SolverPlan:
             work -= work.mean()
         t3 = time.perf_counter()
 
-        report.timing = {"forward": t1 - t0, "diagonal": t2 - t1, "backward": t3 - t2}
-        if out_arr is None:
-            return work, report
-        out_arr[...] = work
-        return out_arr, report
+        # the phases partition the call: checks and copy-in, the three
+        # passes, and the copy into ``out``
+        report.timing = {"setup": t0 - t_enter, "forward": t1 - t0, "diagonal": t2 - t1,
+                         "backward": t3 - t2}
+        if out_arr is not None:
+            out_arr[...] = work
+            work = out_arr
+        report.timing["finish"] = time.perf_counter() - t3
+        return work, report
 
     # -- internal passes ---------------------------------------------------
 

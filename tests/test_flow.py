@@ -131,6 +131,136 @@ def test_div_grad_equals_discrete_laplacian(rng):
         )
 
 
+# -- bit-for-bit against the rolled stencils -------------------------------------
+#
+# The terms take their periodic differences as slice operations with the wrap
+# written at the edges.  These references are the same stencils written with
+# np.roll; every entry must be the same IEEE operation on the same operands.
+
+
+def _ref_divergence(vel):
+    dx, dz = vel.spacing
+    div = (np.roll(vel.u, -1, axis=0) - vel.u) / dx
+    if vel.z_walls:
+        div += (vel.w[:, 1:] - vel.w[:, :-1]) / dz
+    else:
+        div += (np.roll(vel.w, -1, axis=1) - vel.w) / dz
+    return div
+
+
+def _ref_gradient(vel, scalar):
+    dx, dz = vel.spacing
+    gx = (scalar - np.roll(scalar, 1, axis=0)) / dx
+    if vel.z_walls:
+        nx, nz = scalar.shape
+        gz = np.zeros((nx, nz + 1))
+        gz[:, 1:-1] = (scalar[:, 1:] - scalar[:, :-1]) / dz
+    else:
+        gz = (scalar - np.roll(scalar, 1, axis=1)) / dz
+    return gx, gz
+
+
+def _ref_corner_flux(vel):
+    if vel.z_walls:
+        nx, nz = vel.cells
+        wc = (vel.w + np.roll(vel.w, 1, axis=0)) / 2.0
+        uc = np.empty((nx, nz + 1))
+        uc[:, 1:-1] = (vel.u[:, 1:] + vel.u[:, :-1]) / 2.0
+        uc[:, 0] = 0.0
+        uc[:, -1] = 0.0
+        return uc * wc
+    uc = (vel.u + np.roll(vel.u, 1, axis=1)) / 2.0
+    wc = (vel.w + np.roll(vel.w, 1, axis=0)) / 2.0
+    return uc * wc
+
+
+def _ref_advective_term(vel):
+    dx, dz = vel.spacing
+    corner = _ref_corner_flux(vel)
+    uc = (vel.u + np.roll(vel.u, -1, axis=0)) / 2.0
+    fxx = uc * uc
+    au = -(fxx - np.roll(fxx, 1, axis=0)) / dx
+    if vel.z_walls:
+        au -= (corner[:, 1:] - corner[:, :-1]) / dz
+        wc = (vel.w[:, 1:] + vel.w[:, :-1]) / 2.0
+        fzz = wc * wc
+        aw = np.zeros_like(vel.w)
+        aw[:, 1:-1] = -(fzz[:, 1:] - fzz[:, :-1]) / dz
+        aw -= (np.roll(corner, -1, axis=0) - corner) / dx
+        aw[:, 0] = 0.0
+        aw[:, -1] = 0.0
+    else:
+        au -= (np.roll(corner, -1, axis=1) - corner) / dz
+        wc = (vel.w + np.roll(vel.w, -1, axis=1)) / 2.0
+        fzz = wc * wc
+        aw = -(fzz - np.roll(fzz, 1, axis=1)) / dz
+        aw -= (np.roll(corner, -1, axis=0) - corner) / dx
+    return au, aw
+
+
+def _ref_viscous_term(vel):
+    dx, dz = vel.spacing
+    u, w = vel.u, vel.w
+    lu = (np.roll(u, -1, axis=0) - 2.0 * u + np.roll(u, 1, axis=0)) / dx ** 2
+    lw = (np.roll(w, -1, axis=0) - 2.0 * w + np.roll(w, 1, axis=0)) / dx ** 2
+    if vel.z_walls:
+        d2z = np.empty_like(u)
+        d2z[:, 1:-1] = u[:, 2:] - 2.0 * u[:, 1:-1] + u[:, :-2]
+        d2z[:, 0] = u[:, 1] - 3.0 * u[:, 0]
+        d2z[:, -1] = u[:, -2] - 3.0 * u[:, -1]
+        lu += d2z / dz ** 2
+        d2z = np.zeros_like(w)
+        d2z[:, 1:-1] = w[:, 2:] - 2.0 * w[:, 1:-1] + w[:, :-2]
+        lw += d2z / dz ** 2
+        lw[:, 0] = 0.0
+        lw[:, -1] = 0.0
+    else:
+        lu += (np.roll(u, -1, axis=1) - 2.0 * u + np.roll(u, 1, axis=1)) / dz ** 2
+        lw += (np.roll(w, -1, axis=1) - 2.0 * w + np.roll(w, 1, axis=1)) / dz ** 2
+    return vel.nu * lu, vel.nu * lw
+
+
+def _assert_bitwise_equal(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+_EXTENTS = (1, 2, 3, 8, 17)
+_LAYOUTS = [(nx, nz, walls) for nx in _EXTENTS for nz in _EXTENTS for walls in (False, True)
+            if not (walls and nz == 1)]
+
+
+@pytest.mark.parametrize("nx,nz,z_walls", _LAYOUTS,
+                         ids=[f"{nx}x{nz}-{'walls' if w else 'periodic'}" for nx, nz, w in _LAYOUTS])
+def test_terms_match_rolled_stencils_bit_for_bit(nx, nz, z_walls):
+    rng = np.random.default_rng(1000 * nx + 10 * nz + z_walls)
+    w_shape = (nx, nz + 1) if z_walls else (nx, nz)
+    w = rng.standard_normal(w_shape)
+    if z_walls:
+        w[:, 0] = w[:, -1] = 0.0
+    vel = StaggeredVelocity(rng.standard_normal((nx, nz)), w,
+                            tuple(rng.uniform(0.5, 3.0, 2)), rng.uniform(0.01, 1.0), z_walls)
+    held = (vel.u.copy(), vel.w.copy())
+    scalar = rng.standard_normal((nx, nz))
+
+    _assert_bitwise_equal(divergence(vel), _ref_divergence(vel))
+    for got, want in zip(gradient(vel, scalar), _ref_gradient(vel, scalar)):
+        _assert_bitwise_equal(got, want)
+    for got, want in zip(advective_term(vel), _ref_advective_term(vel)):
+        _assert_bitwise_equal(got, want)
+    for got, want in zip(viscous_term(vel), _ref_viscous_term(vel)):
+        _assert_bitwise_equal(got, want)
+    # the terms only read the state
+    _assert_bitwise_equal(vel.u, held[0])
+    _assert_bitwise_equal(vel.w, held[1])
+
+
+def test_walls_need_two_cells_between_them():
+    with pytest.raises(ValueError, match="two cells"):
+        StaggeredVelocity.zeros((4, 1), (1.0, 1.0), nu=0.1, z_walls=True)
+    StaggeredVelocity.zeros((4, 1), (1.0, 1.0), nu=0.1)  # periodic z is fine
+
+
 # -- stepping -------------------------------------------------------------------
 
 
@@ -214,8 +344,30 @@ def test_channel_forcing_spins_up_divergence_free_flow():
 def test_nonfinite_detection():
     flow = taylor_green(8, nu=0.0)
     flow.velocity.u[0, 0] = np.inf
-    with pytest.raises(FloatingPointError):
+    with pytest.raises(FloatingPointError, match="entering stage 1 of step 1"):
         flow.rk3_step(0.01)
+
+
+def test_nonfinite_predictor_detected():
+    vel = StaggeredVelocity.zeros((8, 8), (1.0, 1.0), nu=0.1)
+    flow = ProjectionFlow(vel, forcing=(np.inf, 0.0))
+    with pytest.raises(FloatingPointError, match="predictor velocity in stage 1 of step 1"):
+        flow.rk3_step(0.01)
+
+
+@pytest.mark.parametrize("make", [lambda: taylor_green(16),
+                                  lambda: channel((12, 8), (2.0, 1.0), 0.05, 1.0)],
+                         ids=["taylor-green", "channel"])
+def test_step_leaves_held_state_arrays_unchanged(make):
+    flow = make()
+    flow.rk3_step(0.01)
+    held = (flow.velocity.u, flow.velocity.w, flow.pressure.p, flow.pressure.phi)
+    before = [a.copy() for a in held]
+    flow.rk3_step(0.01)
+    for array, copy in zip(held, before):
+        np.testing.assert_array_equal(array, copy)
+    now = (flow.velocity.u, flow.velocity.w, flow.pressure.p, flow.pressure.phi)
+    assert not any(np.shares_memory(a, b) for a in held for b in now)
 
 
 def test_step_rejects_bad_dt():

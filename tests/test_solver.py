@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import sys
+import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -556,6 +557,54 @@ def test_property_laplacian_of_solution_is_rhs_minus_mean(config, seed):
     if all(g.kind is GK.STAGGERED or g.bc is BC.PERIODIC for g in config.grids):
         # the left null vector is constant, so the removed part is the plain mean
         assert report.removed_mean == pytest.approx(f.mean(), rel=1e-9, abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(config=fd2_configs(), seed=st.integers(0, 2**32 - 1),
+       offsets=st.lists(st.integers(0, 2), min_size=3, max_size=3),
+       steps=st.lists(st.integers(1, 2), min_size=3, max_size=3))
+def test_property_out_fresh_subblock_and_aliased_bit_identical(config, seed, offsets, steps):
+    plan = SolverPlan(config)
+    rhs = np.random.default_rng(seed).standard_normal(config.shape)
+    kept = rhs.copy()
+    expected, _ = plan.solve(rhs)
+
+    fresh = np.empty(config.shape)
+    sol, _ = plan.solve(rhs, out=fresh)
+    assert sol is fresh and fresh.tobytes() == expected.tobytes()
+
+    # a strided sub-block of a larger array, whose other entries stay put
+    parent = np.full(tuple(o + s * n + 1 for o, s, n in zip(offsets, steps, config.shape)), -7.0)
+    block = tuple(slice(o, o + s * n, s) for o, s, n in zip(offsets, steps, config.shape))
+    sol, _ = plan.solve(rhs, out=parent[block])
+    assert parent[block].tobytes() == expected.tobytes()
+    untouched = np.ones(parent.shape, bool)
+    untouched[block] = False
+    assert np.all(parent[untouched] == -7.0)
+
+    aliased = rhs.copy()
+    sol, _ = plan.solve(aliased, out=aliased)
+    assert sol is aliased and aliased.tobytes() == expected.tobytes()
+    assert rhs.tobytes() == kept.tobytes()
+
+
+@pytest.mark.parametrize("grids", [
+    (periodic(16), periodic(12)),
+    (periodic(8), GridSpec(6, 1.0, BC.NEUMANN, GK.STAGGERED)),
+    uniform_config(BC.DIRICHLET, GK.REGULAR, (52, 52)).grids,
+], ids=["periodic", "mixed", "dirichlet-matrix"])
+@pytest.mark.parametrize("with_out", [False, True], ids=["fresh", "out"])
+def test_timing_phases_cover_the_call(grids, with_out, rng):
+    plan = SolverPlan(SolverConfig(grids, AP.FINITE_DIFFERENCE_2))
+    rhs = rng.standard_normal(plan.shape)
+    out = np.empty(plan.shape) if with_out else None
+    for _ in range(5):
+        t0 = time.perf_counter()
+        _, report = plan.solve(rhs, out=out)
+        outside = time.perf_counter() - t0
+        assert list(report.timing) == ["setup", "forward", "diagonal", "backward", "finish"]
+        assert all(seconds >= 0.0 for seconds in report.timing.values())
+        assert sum(report.timing.values()) <= outside
 
 
 @pytest.mark.parametrize("grids,bound", [
