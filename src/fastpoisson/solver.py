@@ -156,15 +156,31 @@ class AxisDescription:
 
 
 @dataclass(frozen=True)
-class PlanDescription:
-    """What a plan will do, per axis, and its working dtype.
+class WorkspaceDescription:
+    """Bytes of the arrays a solve allocates, by part: the working copy (the
+    returned solution when ``out`` is not given), the half spectrum of the
+    periodic axes, the line buffer of the reorder pass, and the largest
+    temporary of a matrix-method axis.  The parts are not all alive at once:
+    a solve's allocation peak lies between the working copy and their sum."""
 
-    Every field is a string, an integer or a tuple of these descriptions, so
-    ``dataclasses.asdict(description)`` is ready for ``json.dump``.
+    working_copy: int
+    half_spectrum: int
+    line_buffer: int
+    matrix_temporary: int
+
+
+@dataclass(frozen=True)
+class PlanDescription:
+    """What a plan will do, per axis, its working dtype and its workspace.
+
+    Every field is a string, an integer, a description or a tuple of
+    descriptions, so ``dataclasses.asdict(description)`` is ready for
+    ``json.dump``.
     """
 
     axes: tuple
     dtype: str
+    workspace: WorkspaceDescription
 
 
 class SolverPlan:
@@ -231,7 +247,7 @@ class SolverPlan:
 
     def describe(self) -> PlanDescription:
         """Per axis: row, transform pair, FFT length and its largest prime
-        factor, and the method; plus the working dtype."""
+        factor, and the method; plus the working dtype and the workspace."""
         axes = []
         for ax, (g, pair) in enumerate(zip(self.config.grids, self._pairs)):
             plan = self._forward.get(ax)
@@ -243,7 +259,30 @@ class SolverPlan:
                 fft_length=length, largest_prime=largest_prime_factor(length),
                 method=plan.method if plan else "fft",
             ))
-        return PlanDescription(axes=tuple(axes), dtype=self.dtype.name)
+        return PlanDescription(axes=tuple(axes), dtype=self.dtype.name,
+                               workspace=self._workspace())
+
+    def _workspace(self) -> WorkspaceDescription:
+        itemsize = self.dtype.itemsize
+        field_bytes = math.prod(self.shape) * itemsize
+        spectrum_bytes = 0
+        if self._periodic_axes:
+            half = list(self.shape)
+            half[self._periodic_axes[-1]] = half[self._periodic_axes[-1]] // 2 + 1
+            spectrum_bytes = math.prod(half) * 2 * itemsize  # complex
+        # a reordered axis is transformed in the line buffer, the others in place
+        temporary_bytes = max(
+            (self._forward[ax].temporary_bytes(
+                self._reorder[ax].buffer_shape if ax in self._reorder else self.shape,
+                self.dtype)
+             for ax in self._real_axes),
+            default=0,
+        )
+        return WorkspaceDescription(
+            working_copy=field_bytes, half_spectrum=spectrum_bytes,
+            line_buffer=field_bytes if self._reorder else 0,
+            matrix_temporary=temporary_bytes,
+        )
 
     @property
     def singular(self) -> bool:

@@ -33,20 +33,26 @@ including primes.  pocketfft keeps an internal cache of twiddle/factorization
 plans per length, so repeated execution does not replan.
 
 pocketfft evaluates a real transform through a real FFT of length L:
-2(n+1) for DST-I, 2(n-1) for DCT-I and n for types II and III.  When L has a
-large prime factor, pocketfft falls back to its generic radix pass, which is
-slow.  A real-transform plan therefore picks one of two methods from its kind
+2(n+1) for DST-I, 2(n-1) for DCT-I and n for types II and III.  A radix pass
+of prime p costs about p operations per element, so the FFT costs about
+L s(L) operations per line, where s(L) is the sum of L's prime factors
+(with multiplicity); a large prime factor sends pocketfft to its slow generic
+pass.  A real-transform plan therefore picks one of two methods from its kind
 and length alone (:attr:`TransformPlan.method`):
 
-* ``"matrix"`` when n <= 256 and the largest prime factor p of L is at least
-  13 and at least n^2 / (4 L): the transform is the dense n x n product with
-  the matrix that pocketfft itself gives for the identity, built at plan
-  creation and shared by the plans of one kind and length (the
-  fast-diagonalization method of Lynch, Rice & Thomas).  pocketfft's
-  generic pass costs about L p operations per line and the product n^2; below
-  L p = n^2 / 4 (DCT-I with n = 256, L = 510 = 2 3 5 17; DCT-II with
-  n = 104, 156, 208 or 255, p = 13 or 17) the product measured slower.
-  It runs in place in chunks through one temporary of at most 16 KiB.  The
+* ``"matrix"`` when n <= 256 and L s(L) >= n^2 / 5: the transform is the
+  dense n x n product, n^2 operations per line, with the matrix that
+  pocketfft itself gives for the identity, built at plan creation and shared
+  by the plans of one kind and length (the fast-diagonalization method of
+  Lynch, Rice & Thomas).  Near L s(L) = n^2 / 5 the two measured within
+  1.5x of each other (DCT-II with n = 64, L = 2^6, stays on pocketfft;
+  DCT-II with n = 60 and DCT-I with n = 256, L = 510 = 2 3 5 17, take the
+  product); well below it pocketfft wins (DCT-II with n = 208, DST-I with
+  n = 255, L = 2^9), well above it the product (DST-I with n = 52,
+  L = 2 53, by 6x).
+  It runs in place in chunks of 128 lines (fewer when the array has
+  fewer) through one temporary, so each BLAS call gets enough columns to
+  reach its blocked speed; at n <= 256 the temporary is at most 256 KiB.  The
   product runs on BLAS, so its threads come from the BLAS library
   (``OPENBLAS_NUM_THREADS``), not from ``workers``.
 * ``"fft"`` otherwise: pocketfft, parallel over lines with ``workers``.
@@ -96,13 +102,11 @@ class TransformKind(Enum):
 _MIN_LENGTH = {TransformKind.DCT1: 2}
 
 # a real transform runs as a dense matrix product when its length is at most
-# _MATRIX_MAX_N and the largest prime factor of pocketfft's real-FFT length is
-# at least _MATRIX_MIN_PRIME (and large against n, see TransformPlan); the
-# product goes through one temporary of at most _MATRIX_CHUNK_BYTES, in the
-# working precisions below
+# _MATRIX_MAX_N and pocketfft's real FFT would cost at least a fifth of the
+# product (see TransformPlan); the product goes through one temporary of
+# _MATRIX_CHUNK_LINES lines, in the working precisions below
 _MATRIX_MAX_N = 256
-_MATRIX_MIN_PRIME = 13
-_MATRIX_CHUNK_BYTES = 16 * 1024
+_MATRIX_CHUNK_LINES = 128
 _MATRIX_DTYPES = (np.dtype(np.float64), np.dtype(np.float32))
 
 _REAL_DISPATCH = {
@@ -153,14 +157,22 @@ _PAIR_TABLE = {
 }
 
 
-def largest_prime_factor(m: int) -> int:
-    """Largest prime factor of a positive integer (1 for 1)."""
-    largest, p = 1, 2
+def _prime_factors(m: int) -> list:
+    """Prime factors of a positive integer, with multiplicity, ascending."""
+    factors, p = [], 2
     while p * p <= m:
         while m % p == 0:
-            largest, m = p, m // p
+            factors.append(p)
+            m //= p
         p += 1
-    return max(largest, m)
+    if m > 1:
+        factors.append(m)
+    return factors
+
+
+def largest_prime_factor(m: int) -> int:
+    """Largest prime factor of a positive integer (1 for 1)."""
+    return max(_prime_factors(m), default=1)
 
 
 def transform_pair_for(bc: BoundaryCondition, grid: GridKind) -> TransformPair:
@@ -198,10 +210,10 @@ class TransformPlan:
             raise ConfigurationError(
                 f"{self.kind.value} requires n >= {_MIN_LENGTH[self.kind]}, got n={self.n}"
             )
-        length, prime = self.fft_length, largest_prime_factor(self.fft_length)
-        # pocketfft's generic pass costs about L*p per line, the product n^2
+        # pocketfft costs about L * (sum of L's prime factors) per line, the product n^2
+        fft_cost = self.fft_length * sum(_prime_factors(self.fft_length))
         use_matrix = (not self.kind.is_complex and self.n <= _MATRIX_MAX_N
-                      and prime >= _MATRIX_MIN_PRIME and 4 * length * prime >= self.n ** 2)
+                      and 5 * fft_cost >= self.n ** 2)
         object.__setattr__(self, "method", "matrix" if use_matrix else "fft")
         object.__setattr__(self, "_matrices",
                            _transform_matrices(self.kind, self.n) if use_matrix else _NO_MATRICES)
@@ -245,6 +257,15 @@ class TransformPlan:
         _matmul_in_place(matrix, line, self.axis)
         return line
 
+    def temporary_bytes(self, shape, dtype) -> int:
+        """Bytes of the temporary that ``execute_real`` allocates on an owned
+        C-contiguous array of ``shape`` and ``dtype`` (the matrix method's
+        chunk; 0 when pocketfft runs the transform)."""
+        dtype = np.dtype(dtype)
+        if dtype not in self._matrices or math.prod(shape) == 0:
+            return 0
+        return math.prod(_chunk_shape(*_split_at(tuple(shape), self.axis))) * dtype.itemsize
+
     def execute_complex(self, line: np.ndarray) -> np.ndarray:
         """Apply the DFT (forward, scaled by 1/n) or IDFT (unscaled)."""
         if not self.kind.is_complex:
@@ -272,24 +293,37 @@ def _transform_matrices(kind: TransformKind, n: int) -> MappingProxyType:
     return MappingProxyType(matrices)
 
 
+def _split_at(shape, axis):
+    """``(before, n, after)``: the extents of ``shape`` before, at and after ``axis``."""
+    axis %= len(shape)
+    return math.prod(shape[:axis]), shape[axis], math.prod(shape[axis + 1:])
+
+
+def _chunk_shape(before, n, after):
+    """Shape of the matrix product's temporary for the ``(before, n, after)``
+    view: ``_MATRIX_CHUNK_LINES`` lines, fewer when the view has fewer."""
+    lines = _MATRIX_CHUNK_LINES
+    if after == 1:
+        return min(lines, before), n
+    width = min(lines, after)
+    return min(lines // width, before), n, width
+
+
 def _matmul_in_place(matrix, x, axis):
     """Apply ``matrix`` along ``axis`` of the C-contiguous ``x``, in place.
 
-    The product runs in chunks through one temporary of at most
-    ``_MATRIX_CHUNK_BYTES``: a chunk of rows when ``axis`` is the last one,
-    otherwise a block of columns of the ``(before, n, after)`` view, stacked
-    over the leading index when whole rows of columns fit.
+    The product runs in chunks of ``_MATRIX_CHUNK_LINES`` lines through one
+    temporary (:func:`_chunk_shape`): a chunk of rows when ``axis`` is the
+    last one, otherwise a block of columns of the ``(before, n, after)`` view,
+    stacked over the leading index when whole rows of columns fit.
     """
     if x.size == 0:
         return
-    n = matrix.shape[0]
-    axis %= x.ndim
-    before = math.prod(x.shape[:axis])
-    after = math.prod(x.shape[axis + 1:])
-    lines = max(1, _MATRIX_CHUNK_BYTES // (n * x.itemsize))  # lines per chunk
+    before, n, after = _split_at(x.shape, axis)
+    tmp = np.empty(_chunk_shape(before, n, after), dtype=x.dtype)
     if after == 1:
         rows = x.reshape(before, n)
-        tmp = np.empty((min(lines, before), n), dtype=x.dtype)
+        lines = len(tmp)
         for r in range(0, before, lines):
             block = rows[r:r + lines]
             chunk = tmp[:len(block)]
@@ -297,9 +331,7 @@ def _matmul_in_place(matrix, x, axis):
             block[...] = chunk
         return
     cols = x.reshape(before, n, after)
-    width = min(lines, after)
-    depth = min(lines // width, before)
-    tmp = np.empty((depth, n, width), dtype=x.dtype)
+    depth, _, width = tmp.shape
     for a in range(0, before, depth):
         for b in range(0, after, width):
             block = cols[a:a + depth, :, b:b + width]

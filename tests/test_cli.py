@@ -28,7 +28,11 @@ def test_solve_writes_outputs_and_manifest(rhs_file, tmp_path):
     assert grids[0].bc is BC.NEUMANN
     report = json.loads((out / "report.json").read_text())
     assert set(report) == {"removed_mean", "mode", "periodic_axes", "timing_seconds", "plan"}
+    assert set(report["plan"]) == {"axes", "dtype", "workspace"}
     assert report["plan"]["dtype"] == "float64"
+    # two matrix-method axes in place: the working copy and one 10-line chunk
+    assert report["plan"]["workspace"] == {"working_copy": 12 * 10 * 8, "half_spectrum": 0,
+                                           "line_buffer": 0, "matrix_temporary": 10 * 12 * 8}
     assert [(a["bc"], a["grid"], a["n"], a["forward"], a["backward"]) for a in report["plan"]["axes"]] == [
         ("neumann", "staggered", 12, "dct2", "dct3"), ("neumann", "staggered", 10, "dct2", "dct3")]
     manifest = json.loads((out / "manifest.json").read_text())
@@ -82,14 +86,17 @@ def test_solve_flag_overrides_header(flags, in_header, expected, tmp_path, rng):
 
 
 def test_solve_report_describes_plan(tmp_path, rng):
-    grids = (GridSpec(52, 1.0, BC.DIRICHLET, GK.REGULAR), GridSpec(8, 1.0, BC.DIRICHLET, GK.REGULAR))
-    header = write_field(tmp_path / "r", rng.standard_normal((52, 8)).astype(np.float32), grids)
+    grids = (GridSpec(52, 1.0, BC.DIRICHLET, GK.REGULAR), GridSpec(255, 1.0, BC.DIRICHLET, GK.REGULAR))
+    header = write_field(tmp_path / "r", rng.standard_normal((52, 255)).astype(np.float32), grids)
     out = tmp_path / "out"
     assert main(["solve", "--in", str(header), "--out", str(out)]) == 0
     plan = json.loads((out / "report.json").read_text())["plan"]
     assert plan["dtype"] == "float32"
     assert [(a["fft_length"], a["largest_prime"], a["method"]) for a in plan["axes"]] == [
-        (106, 53, "matrix"), (18, 3, "fft")]
+        (106, 53, "matrix"), (512, 2, "fft")]
+    # axis 0 is transformed in place in column blocks of 128 of the 255 columns
+    assert plan["workspace"] == {"working_copy": 52 * 255 * 4, "half_spectrum": 0,
+                                 "line_buffer": 0, "matrix_temporary": 52 * 128 * 4}
 
 
 def test_solve_missing_input_exits_3(tmp_path):

@@ -7,8 +7,11 @@ from scipy import fft as sfft
 
 from fastpoisson.grid import BoundaryCondition as BC, ConfigurationError, GridKind as GK
 from fastpoisson.transforms import (
+    _MATRIX_CHUNK_LINES,
     TransformKind as TK,
     TransformPlan,
+    _chunk_shape,
+    _split_at,
     largest_prime_factor,
     naive_transform,
     transform_pair_for,
@@ -220,19 +223,28 @@ def test_execute_real_overwrite_x(kind, axis, dtype, rng):
 @pytest.mark.parametrize("kind,n,length,method", [
     (TK.DST1, 52, 106, "matrix"),  # 2 * 53
     (TK.DCT2, 52, 52, "matrix"),  # 4 * 13
-    (TK.DCT2, 64, 64, "fft"),
+    (TK.DCT2, 64, 64, "fft"),  # 2^6: L s(L) = 768 < n^2 / 5 = 819.2
     (TK.DCT2, 112, 112, "fft"),  # 2^4 * 7
-    (TK.DST1, 512, 1026, "fft"),  # 2 * 513 = 2 * 27 * 19, but n > 256
+    (TK.DST1, 512, 1026, "fft"),  # 2 * 513 = 2 * 27 * 19, and n > 256
     (TK.DST1, 64, 130, "matrix"),  # 2 * 5 * 13
     (TK.DST1, 256, 514, "matrix"),  # 2 * 257
     (TK.DCT1, 128, 254, "matrix"),  # 2 * 127
-    (TK.DCT1, 129, 256, "fft"),
-    # 13 <= p but L p < n^2 / 4: the product would be slower than pocketfft
-    (TK.DCT1, 256, 510, "fft"),  # 2 * 3 * 5 * 17
+    (TK.DCT1, 129, 256, "matrix"),  # 2^8: 4096 >= 3328.2
+    (TK.DCT2, 60, 60, "matrix"),  # 2^2 * 3 * 5: 720 >= 720
+    (TK.DCT2, 72, 72, "fft"),  # 2^3 * 3^2: 864 < 1036.8
+    (TK.DCT1, 256, 510, "matrix"),  # 2 * 3 * 5 * 17: 13770 >= 13107.2
+    # L s(L) < n^2 / 5 although L has a prime factor of 13 or more
     (TK.DCT2, 208, 208, "fft"),  # 16 * 13
-    (TK.DST1, 168, 338, "fft"),  # 2 * 13^2
+    (TK.DCT2, 104, 104, "fft"),  # 8 * 13
+    # short transforms, whatever the size of L's prime factors
+    (TK.DST1, 168, 338, "matrix"),  # 2 * 13^2
     (TK.DST3, 13, 13, "matrix"),
-    (TK.DST2, 11, 11, "fft"),
+    (TK.DST2, 11, 11, "matrix"),
+    (TK.DST1, 32, 66, "matrix"),  # 2 * 3 * 11
+    (TK.DCT1, 16, 30, "matrix"),  # 2 * 3 * 5
+    (TK.DCT1, 64, 126, "matrix"),  # 2 * 3^2 * 7
+    (TK.DCT2, 32, 32, "matrix"),  # 2^5
+    (TK.DST1, 255, 512, "fft"),  # 2^9
     (TK.DFT, 53, 53, "fft"),  # complex transforms always use pocketfft
 ], ids=lambda v: getattr(v, "value", v))
 def test_method_selection(kind, n, length, method):
@@ -320,16 +332,48 @@ def test_matrix_method_on_strided_and_read_only_input(rng):
                                atol=1e-12 * np.abs(got).max())
 
 
+LINES = _MATRIX_CHUNK_LINES
+
+
+# shapes derived from the chunk rule so that each loop of the product ends on a
+# partial chunk: rows of the last axis, column blocks of a leading axis (over
+# one and over several leading slabs), and stacks over the leading index
 @pytest.mark.parametrize("shape,axis", [
-    ((52, 52, 52), 0), ((52, 52, 52), 1), ((52, 52, 52), 2),  # partial row/column chunks
-    ((7, 52, 10), 1),  # column blocks stacked over the leading index, the last one partial
+    ((52, 2, LINES // 2 + 3), 0),
+    ((3, 52, LINES + 5), 1),
+    ((2, LINES // 2 + 3, 52), 2),
+    ((5, 52, LINES // 3 + 1), 1),
 ], ids=["axis0", "axis1", "axis2", "stacked"])
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_matrix_chunks_cover_every_line(shape, axis, dtype, rng):
+    before, n, after = _split_at(shape, axis)
+    chunk = _chunk_shape(before, n, after)
+    assert math.prod(chunk) <= LINES * n
+    if after == 1:
+        loop, step = before, chunk[0]  # row chunks
+    elif chunk[2] < after:
+        loop, step = after, chunk[2]  # column blocks
+    else:
+        loop, step = before, chunk[0]  # stacks of whole slabs
+    assert step < loop and loop % step, (loop, step)  # several chunks, the last partial
+
     x = rng.standard_normal(shape).astype(dtype)
     plan = TransformPlan(TK.DST1, 52, axis=axis)
     assert plan.method == "matrix"
+    assert plan.temporary_bytes(shape, dtype) == math.prod(chunk) * x.itemsize
     expected = sfft.dst(x.astype(np.float64), type=1, axis=axis)
     got = plan.execute_real(x, overwrite_x=True)
     tol = 1e-12 if dtype is np.float64 else 1e-5
     assert np.abs(got - expected).max() <= tol * np.abs(expected).max()
+
+
+def test_matrix_temporary_holds_chunk_lines():
+    # LINES lines per chunk, fewer when the array has fewer; at the largest
+    # length the product takes, the temporary stays well under 1 MiB
+    plan = TransformPlan(TK.DST1, 256, axis=1)
+    assert plan.method == "matrix"
+    assert plan.temporary_bytes((256, 256, 256), np.float64) == LINES * 256 * 8 <= 1 << 20
+    assert plan.temporary_bytes((3, 256, 7), np.float32) == 3 * 256 * 7 * 4
+    assert plan.temporary_bytes((0, 256, 7), np.float64) == 0
+    assert plan.temporary_bytes((3, 256, 7), np.int32) == 0  # int input goes to pocketfft
+    assert TransformPlan(TK.DCT2, 64, axis=1).temporary_bytes((64, 64, 64), np.float64) == 0
