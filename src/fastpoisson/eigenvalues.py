@@ -94,18 +94,25 @@ class CombinedEigenvalues:
 def combine_eigenvalues(tables) -> CombinedEigenvalues:
     """Sum per-axis tables into the d-dimensional eigenvalue array.
 
-    The eigenvalue at index (k1, .., kd) is the sum of the per-axis values;
-    a mode is null exactly when every axis contributes a null index.
+    The eigenvalue at index (k1, .., kd) is the sum of the per-axis values,
+    added in axis order; a mode is null exactly when every axis contributes a
+    null index, and its value is a zero (of either sign).  The array has the
+    tables' lengths as its shape, so a caller that needs only part of an axis
+    passes a cut table.  It is one fresh allocation, without a zero fill: the
+    first table is written into it and the others are added.
     """
     tables = list(tables)
     if not 1 <= len(tables) <= 3:
         raise ValueError(f"1 to 3 axes supported, got {len(tables)}")
     d = len(tables)
-    combined = np.zeros(tuple(t.values.size for t in tables), dtype=np.float64)
+    combined = np.empty(tuple(t.values.size for t in tables), dtype=np.float64)
     for ax, table in enumerate(tables):
         shape = [1] * d
         shape[ax] = table.values.size
-        combined += table.values.reshape(shape)
+        if ax == 0:
+            combined[...] = table.values.reshape(shape)
+        else:
+            combined += table.values.reshape(shape)
     null_modes = ()
     if all(t.null_indices for t in tables):
         null_modes = tuple(

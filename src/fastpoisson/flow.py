@@ -330,6 +330,9 @@ class ProjectionFlow:
         self.time = 0.0
         self.step_count = 0
         self.stage_divergence = []  # max |div| after each stage of the last step
+        # wall time inside the last step's three Poisson solves, summed from
+        # their reports' phase timings
+        self.poisson_seconds = 0.0
 
         nx, nz = velocity.cells
         lx, lz = velocity.lengths
@@ -355,6 +358,7 @@ class ProjectionFlow:
         fx, fz = self.forcing
 
         self.stage_divergence = []
+        poisson_seconds = 0.0
         if not (np.isfinite(vel.u).all() and np.isfinite(vel.w).all()):
             raise FloatingPointError(
                 f"non-finite velocity entering stage 1 of step {self.step_count + 1}"
@@ -394,7 +398,8 @@ class ProjectionFlow:
             star = StaggeredVelocity(ustar, wstar, vel.lengths, vel.nu, vel.z_walls)
             rhs = divergence(star)
             rhs /= alpha[k] * dt
-            phi, _ = self.poisson.solve(rhs)
+            phi, report = self.poisson.solve(rhs)
+            poisson_seconds += sum(report.timing.values())
             gfx, gfz = gradient(vel, phi)
             gfx *= alpha[k] * dt
             gfz *= alpha[k] * dt
@@ -411,6 +416,7 @@ class ProjectionFlow:
                 )
             self.stage_divergence.append(float(np.abs(divergence(vel)).max()))
 
+        self.poisson_seconds = poisson_seconds
         self.time += dt
         self.step_count += 1
 

@@ -18,10 +18,14 @@ reported and the returned solution is adjusted to have zero arithmetic mean,
 i.e. zero projection onto the null space of the discrete operator.
 
 The periodic axes go through a real-to-complex FFT (``rfftn``), so the
-spectrum holds only the Hermitian half of the last periodic axis, and the
-eigenvalue array is stored on that half.  The real transforms run in place on
-the solve's own working copy.  A solve thus holds about one copy of the field
-plus the half spectrum; with ``out=None`` the working copy itself is returned.
+spectrum holds only the Hermitian half of the last periodic axis.  The one
+array a plan keeps between solves is the inverse of the eigenvalues (with the
+backward normalization folded in), on that half when an axis is periodic: the
+per-axis tables are cut to the half before they are summed into it, and it is
+inverted in place (a single-precision plan then casts it once).  The real
+transforms run in place on the solve's own working copy.  A solve thus holds
+about one copy of the field plus the half spectrum; with ``out=None`` the
+working copy itself is returned.
 
 Plans are immutable after construction and ``solve`` allocates its workspace
 per call, so concurrent solves on one shared plan (with distinct buffers) are
@@ -37,7 +41,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 from scipy import fft as _sfft
 
-from .eigenvalues import combine_eigenvalues, eigenvalue_table
+from .eigenvalues import EigenvalueTable, combine_eigenvalues, eigenvalue_table
 from .field import as_array
 from .grid import (
     Approximation,
@@ -171,7 +175,9 @@ class WorkspaceDescription:
 
 @dataclass(frozen=True)
 class PlanDescription:
-    """What a plan will do, per axis, its working dtype and its workspace.
+    """What a plan will do, per axis, its working dtype and its workspace, and
+    ``resident_bytes``, the bytes the plan itself keeps between solves: its
+    inverse-eigenvalue array.
 
     Every field is a string, an integer, a description or a tuple of
     descriptions, so ``dataclasses.asdict(description)`` is ready for
@@ -181,11 +187,12 @@ class PlanDescription:
     axes: tuple
     dtype: str
     workspace: WorkspaceDescription
+    resident_bytes: int
 
 
 class SolverPlan:
     """Immutable precomputation for one configuration: transform plans per axis,
-    the combined eigenvalue array, and null-mode bookkeeping."""
+    the inverse-eigenvalue array, and null-mode bookkeeping."""
 
     def __init__(self, config: SolverConfig, threads: int = 1):
         self.config = config
@@ -195,21 +202,28 @@ class SolverPlan:
 
         self._pairs = [transform_pair_for(g.bc, g.kind) for g in config.grids]
         self.tables = [eigenvalue_table(g, config.approximation) for g in config.grids]
-        combined = combine_eigenvalues(self.tables)
-        lam = combined.values
+        tables = list(self.tables)
         if config.periodic_axes:
-            # rfftn keeps the Hermitian half of the last periodic axis
+            # rfftn keeps the Hermitian half of the last periodic axis, so the
+            # eigenvalues are summed on that half only
             half = config.periodic_axes[-1]
-            lam = lam[(slice(None),) * half + (slice(0, self.shape[half] // 2 + 1),)]
+            cut = tables[half]
+            tables[half] = EigenvalueTable(cut.values[: self.shape[half] // 2 + 1],
+                                           cut.null_indices)
+        combined = combine_eigenvalues(tables)
         # the diagonal pass is a single multiply that divides by the
-        # eigenvalue, projects out the null modes (exact zeros -> 0), and
-        # carries the backward normalization of the real-transform pairs;
-        # the periodic axes need none, as irfftn applies 1/N itself
+        # eigenvalue, projects out the null modes (their zero sums, of either
+        # sign, become +0.0), and carries the backward normalization of the
+        # real-transform pairs; the periodic axes need none, as irfftn applies
+        # 1/N itself.  The combined array is the plan's own, so it is
+        # inverted in place.
         backward_scale = math.prod(
             pair.backward_scale(g.n) for g, pair in zip(config.grids, self._pairs)
         )
-        inv = np.zeros_like(lam)
-        np.divide(backward_scale, lam, out=inv, where=lam != 0.0)
+        inv = combined.values
+        np.divide(backward_scale, inv, out=inv, where=inv != 0.0)
+        for mode in combined.null_modes:
+            inv[mode] = 0.0
         self._inv_lam = inv.astype(self.dtype, copy=False)
         self.null_modes = combined.null_modes
 
@@ -247,7 +261,8 @@ class SolverPlan:
 
     def describe(self) -> PlanDescription:
         """Per axis: row, transform pair, FFT length and its largest prime
-        factor, and the method; plus the working dtype and the workspace."""
+        factor, and the method; plus the working dtype, the workspace and the
+        bytes the plan keeps."""
         axes = []
         for ax, (g, pair) in enumerate(zip(self.config.grids, self._pairs)):
             plan = self._forward.get(ax)
@@ -260,7 +275,8 @@ class SolverPlan:
                 method=plan.method if plan else "fft",
             ))
         return PlanDescription(axes=tuple(axes), dtype=self.dtype.name,
-                               workspace=self._workspace())
+                               workspace=self._workspace(),
+                               resident_bytes=self._inv_lam.nbytes)
 
     def _workspace(self) -> WorkspaceDescription:
         itemsize = self.dtype.itemsize

@@ -27,9 +27,13 @@ def test_solve_writes_outputs_and_manifest(rhs_file, tmp_path):
     assert solution.shape == (12, 10)
     assert grids[0].bc is BC.NEUMANN
     report = json.loads((out / "report.json").read_text())
-    assert set(report) == {"removed_mean", "mode", "periodic_axes", "timing_seconds", "plan"}
-    assert set(report["plan"]) == {"axes", "dtype", "workspace"}
+    assert set(report) == {"removed_mean", "mode", "periodic_axes", "timing_seconds",
+                           "plan_seconds", "plan"}
+    assert report["plan_seconds"] > 0.0
+    assert set(report["plan"]) == {"axes", "dtype", "workspace", "resident_bytes"}
     assert report["plan"]["dtype"] == "float64"
+    # the plan keeps only its inverse eigenvalues, one per grid point here
+    assert report["plan"]["resident_bytes"] == 12 * 10 * 8
     # two matrix-method axes in place: the working copy and one 10-line chunk
     assert report["plan"]["workspace"] == {"working_copy": 12 * 10 * 8, "half_spectrum": 0,
                                            "line_buffer": 0, "matrix_temporary": 10 * 12 * 8}
@@ -97,6 +101,7 @@ def test_solve_report_describes_plan(tmp_path, rng):
     # axis 0 is transformed in place in column blocks of 128 of the 255 columns
     assert plan["workspace"] == {"working_copy": 52 * 255 * 4, "half_spectrum": 0,
                                  "line_buffer": 0, "matrix_temporary": 52 * 128 * 4}
+    assert plan["resident_bytes"] == 52 * 255 * 4
 
 
 def test_solve_missing_input_exits_3(tmp_path):
@@ -164,15 +169,18 @@ def test_bench_csv_output(tmp_path):
     with open(out, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert [r["phase"] for r in rows if int(r["size"]) == 16] == [
-        "setup", "forward", "diagonal", "backward", "finish", "total"]
+        "plan", "setup", "forward", "diagonal", "backward", "finish", "total"]
     assert {int(r["size"]) for r in rows} == {16, 32}
     for r in rows:
         assert float(r["min_seconds"]) <= float(r["median_seconds"])
         assert r["threads"] == "1"
-    # per-phase split roughly accounts for the total
+    # per-phase split of a solve roughly accounts for the total; the plan
+    # row times the builds, which lie outside the solve call
     for n in (16, 32):
         by_phase = {r["phase"]: float(r["median_seconds"]) for r in rows if int(r["size"]) == n}
-        parts = sum(seconds for phase, seconds in by_phase.items() if phase != "total")
+        assert by_phase["plan"] > 0.0
+        parts = sum(seconds for phase, seconds in by_phase.items()
+                    if phase not in ("plan", "total"))
         assert parts <= by_phase["total"] * 1.05
 
 
@@ -216,6 +224,9 @@ def test_demo_flow_taylor_green_series(tmp_path):
     with open(out / "series.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 11
+    # the three Poisson solves of every step take some time; step 0 has none
+    poisson = [float(r["poisson_seconds"]) for r in rows]
+    assert poisson[0] == 0.0 and all(seconds > 0.0 for seconds in poisson[1:])
     ke = [float(r["kinetic_energy"]) for r in rows]
     assert all(b < a for a, b in zip(ke, ke[1:]))  # viscous decay, monotone
     # divergence stays at projection level throughout

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -280,6 +281,19 @@ def test_projection_divergence_after_every_stage():
         flow.rk3_step(0.01)
         assert len(flow.stage_divergence) == 3
         assert max(flow.stage_divergence) <= bound
+
+
+@pytest.mark.parametrize("make", [lambda: taylor_green(32, nu=0.01),
+                                  lambda: channel((12, 8), (2.0, 1.0), nu=0.05, forcing_x=1.0)],
+                         ids=["taylor-green", "channel"])
+def test_poisson_seconds_lie_inside_the_step(make):
+    flow = make()
+    assert flow.poisson_seconds == 0.0
+    for _ in range(5):
+        t0 = time.perf_counter()
+        flow.rk3_step(0.005)
+        wall = time.perf_counter() - t0
+        assert 0.0 < flow.poisson_seconds <= wall
 
 
 def test_projection_idempotent_on_divergence_free_field():

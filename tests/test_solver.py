@@ -1,5 +1,7 @@
 import dataclasses
+import itertools
 import json
+import math
 import sys
 import time
 import tracemalloc
@@ -9,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fastpoisson.eigenvalues import eigenvalue_table, spectral_eigenvalues
+from fastpoisson.eigenvalues import combine_eigenvalues, eigenvalue_table, spectral_eigenvalues
 from fastpoisson.field import Field
 from fastpoisson.grid import (
     Approximation as AP,
@@ -23,6 +25,7 @@ from fastpoisson.solver import (
     SolverPlan,
     apply_discrete_laplacian,
 )
+from fastpoisson.transforms import transform_pair_for
 from fastpoisson.verify import basis_vector, dense_oracle_solve, laplacian_matrix
 
 from conftest import ROWS, ROW_IDS
@@ -339,6 +342,8 @@ def test_describe_is_frozen_and_json_ready():
         # the 52-point axis is reordered, so its 128-line chunk is 128 x 52
         "workspace": {"working_copy": 8 * 52 * 255 * 4, "half_spectrum": 5 * 52 * 255 * 8,
                       "line_buffer": 8 * 52 * 255 * 4, "matrix_temporary": 128 * 52 * 4},
+        # the inverse eigenvalues, in float32 on the same half spectrum
+        "resident_bytes": 5 * 52 * 255 * 4,
     }
 
 
@@ -530,8 +535,10 @@ def test_solution_without_out_is_fresh(grids, precision, rng):
 
 
 @st.composite
-def fd2_configs(draw):
-    """1-3D FD2 configs over all five rows and mixed periodic/wall patterns."""
+def fd2_configs(draw, approximations=(AP.FINITE_DIFFERENCE_2,), precisions=("double",)):
+    """1-3D configs over all five rows and mixed periodic/wall patterns, with
+    lengths 1, 2 and primes among them; FD2 in double precision unless other
+    approximations or precisions are given to draw from."""
     bc, kind = draw(st.sampled_from(ROWS))
     grids = []
     for _ in range(draw(st.integers(1, 3))):
@@ -543,7 +550,8 @@ def fd2_configs(draw):
             if (bc, kind) == (BC.NEUMANN, GK.REGULAR):
                 n = max(n, 2)  # DCT-I needs two points
             grids.append(GridSpec(n, length, bc, kind))
-    return SolverConfig(tuple(grids), AP.FINITE_DIFFERENCE_2)
+    return SolverConfig(tuple(grids), draw(st.sampled_from(approximations)),
+                        precision=draw(st.sampled_from(precisions)))
 
 
 @settings(max_examples=80, deadline=None)
@@ -590,6 +598,42 @@ def test_property_out_fresh_subblock_and_aliased_bit_identical(config, seed, off
     sol, _ = plan.solve(aliased, out=aliased)
     assert sol is aliased and aliased.tobytes() == expected.tobytes()
     assert rhs.tobytes() == kept.tobytes()
+
+
+def dense_inverse_eigenvalues(config):
+    """The inverse-eigenvalue array built the direct way: the per-axis sums
+    over the whole grid, starting from zeros, then the half spectrum of the
+    last periodic axis, divided into a zeroed array and cast to the plan's
+    precision; and the null modes from the whole tables."""
+    tables = [eigenvalue_table(g, config.approximation) for g in config.grids]
+    lam = np.zeros(config.shape)
+    for ax, table in enumerate(tables):
+        lam += table.values.reshape([-1 if a == ax else 1 for a in range(config.dims)])
+    dense = lam.copy()
+    if config.periodic_axes:
+        half = config.periodic_axes[-1]
+        lam = lam[(slice(None),) * half + (slice(0, config.shape[half] // 2 + 1),)]
+    scale = math.prod(transform_pair_for(g.bc, g.kind).backward_scale(g.n) for g in config.grids)
+    inv = np.zeros_like(lam)
+    np.divide(scale, lam, out=inv, where=lam != 0.0)
+    null_modes = ()
+    if all(t.null_indices for t in tables):
+        null_modes = tuple(itertools.product(*(sorted(t.null_indices) for t in tables)))
+    return dense, inv.astype(config.dtype, copy=False), null_modes
+
+
+@settings(max_examples=150, deadline=None)
+@given(config=fd2_configs(approximations=tuple(AP), precisions=("double", "single")))
+def test_property_inverse_eigenvalues_byte_identical_to_dense_build(config):
+    dense, expected, null_modes = dense_inverse_eigenvalues(config)
+    plan = SolverPlan(config)
+    inv = plan._inv_lam
+    assert (inv.dtype, inv.shape) == (expected.dtype, expected.shape)
+    assert np.array_equal(inv.view(np.uint8), expected.view(np.uint8))
+    assert plan.null_modes == null_modes
+    combined = combine_eigenvalues(plan.tables)
+    assert combined.values.shape == dense.shape and np.all(combined.values == dense)
+    assert combined.null_modes == null_modes
 
 
 @pytest.mark.parametrize("grids", [
@@ -665,3 +709,22 @@ def test_describe_workspace_bounds_the_solve_peak(grids, precision, rng):
     peak = warm_solve_peak(plan, rhs)
     parts = dataclasses.astuple(workspace)
     assert workspace.working_copy <= peak <= sum(parts) + OBJECT_BYTES, (peak, parts)
+
+
+def test_plan_build_peak_is_about_the_array_it_keeps():
+    # a build allocates its inverse-eigenvalue array, on the half spectrum,
+    # and little beside it: the per-axis tables and the mask of the division.
+    # The first build warms the transform caches, which plans share.
+    cell = GridSpec(64, 1.0, BC.NEUMANN, GK.STAGGERED)
+    config = SolverConfig((periodic(64), cell, cell), AP.FINITE_DIFFERENCE_2)
+    SolverPlan(config)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        plan = SolverPlan(config)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    resident = plan.describe().resident_bytes
+    assert resident == plan._inv_lam.nbytes == 33 * 64 * 64 * 8
+    assert peak <= 1.25 * resident + 64 * 1024, (peak, resident)
