@@ -25,7 +25,6 @@ from .eigenvalues import (
     fd2_eigenvalues,
     spectral_eigenvalues,
 )
-from .field import Field, as_array
 from .grid import (
     Approximation,
     BoundaryCondition,
@@ -55,7 +54,6 @@ __all__ = [
     "CombinedEigenvalues",
     "ConfigurationError",
     "EigenvalueTable",
-    "Field",
     "GridKind",
     "GridSpec",
     "SolveReport",
@@ -65,7 +63,6 @@ __all__ = [
     "TransformPair",
     "TransformPlan",
     "apply_discrete_laplacian",
-    "as_array",
     "combine_eigenvalues",
     "eigenvalue_table",
     "fd2_eigenvalues",

@@ -12,6 +12,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import statistics
 import sys
 import time
@@ -52,6 +53,8 @@ def main(argv=None) -> int:
         parser.print_help()
         return EXIT_CONFIG
     try:
+        if getattr(args, "seed", 0) < 0:
+            raise ConfigurationError(f"--seed must be non-negative, got {args.seed}")
         return args.func(args)
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -72,14 +75,18 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="Fast direct Poisson solver toolkit")
     parser.add_argument("--version", action="version", version=f"fastpoisson {__version__}")
     sub = parser.add_subparsers(dest="subcommand")
+    # flags are taken only spelled out: ``bench --size`` must not mean ``--sizes``
 
-    ps = sub.add_parser("solve", help="solve a Poisson problem stored in a field file")
+    ps = sub.add_parser("solve", allow_abbrev=False,
+                        help="solve a Poisson problem stored in a field file")
+    ps.add_argument("--size", help="points per axis, e.g. 64 or 64,32,16")
     _add_config_flags(ps)
+    ps.add_argument("--format-version", type=int, default=1)
     ps.add_argument("--in", dest="input", required=True, help="input field header (.json)")
     ps.add_argument("--out", required=True, help="output directory")
     ps.set_defaults(func=cmd_solve)
 
-    pv = sub.add_parser("verify", help="run the verification suites")
+    pv = sub.add_parser("verify", allow_abbrev=False, help="run the verification suites")
     pv.add_argument("--bc", help="restrict to one boundary condition")
     pv.add_argument("--grid", help="restrict to one grid kind")
     pv.add_argument("--approx", help="restrict to one approximation")
@@ -90,8 +97,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help=argparse.SUPPRESS)  # test hook: perturb one eigenvalue by 1+1e-6
     pv.set_defaults(func=cmd_verify)
 
-    pb = sub.add_parser("bench", help="timing sweep over problem sizes")
-    _add_config_flags(pb, need_size=False)
+    pb = sub.add_parser("bench", allow_abbrev=False, help="timing sweep over problem sizes")
+    _add_config_flags(pb)
     pb.add_argument("--sizes", required=True,
                     help="comma list of per-axis sizes, e.g. 64,128,256")
     pb.add_argument("--dims", type=int, default=3, choices=(1, 2, 3))
@@ -99,7 +106,8 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--out", help="CSV output path (default: stdout)")
     pb.set_defaults(func=cmd_bench)
 
-    pd = sub.add_parser("demo-flow", help="incompressible-flow projection demo")
+    pd = sub.add_parser("demo-flow", allow_abbrev=False,
+                        help="incompressible-flow projection demo")
     pd.add_argument("--case", choices=("taylor-green", "channel"), default="taylor-green")
     pd.add_argument("--cells", default="64", help="cells per axis, e.g. 64 or 64,32")
     pd.add_argument("--length", default=None, help="domain lengths (channel case; default 1,1)")
@@ -115,8 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_config_flags(p, need_size=True):
-    p.add_argument("--size", help="points per axis, e.g. 64 or 64,32,16" if need_size else argparse.SUPPRESS)
+def _add_config_flags(p):
     p.add_argument("--length", help="physical lengths per axis (default 1 each)")
     p.add_argument("--bc", help="boundary condition per axis: periodic|dirichlet|neumann "
                    "(default periodic)")
@@ -126,7 +133,6 @@ def _add_config_flags(p, need_size=True):
     p.add_argument("--precision", default=None, choices=("double", "single"))
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format-version", type=int, default=1)
 
 
 def _split(text, count, convert, what):
@@ -337,8 +343,10 @@ def cmd_bench(args) -> int:
 def cmd_demo_flow(args) -> int:
     from .flow import channel, taylor_green
 
-    if not args.dt > 0:
-        raise ConfigurationError(f"--dt must be positive, got {args.dt}")
+    if not (math.isfinite(args.nu) and args.nu >= 0):
+        raise ConfigurationError(f"--nu must be finite and non-negative, got {args.nu}")
+    if not (math.isfinite(args.dt) and args.dt > 0):
+        raise ConfigurationError(f"--dt must be finite and positive, got {args.dt}")
     if args.steps < 0 or args.snapshot_every < 0:
         raise ConfigurationError("--steps and --snapshot-every must be non-negative")
     cells = _int_list(args.cells, "cells")

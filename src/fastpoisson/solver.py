@@ -42,7 +42,6 @@ import numpy as np
 from scipy import fft as _sfft
 
 from .eigenvalues import EigenvalueTable, combine_eigenvalues, eigenvalue_table
-from .field import as_array
 from .grid import (
     Approximation,
     BoundaryCondition,
@@ -307,21 +306,21 @@ class SolverPlan:
     def solve(self, rhs, out=None):
         """Solve the discrete Poisson problem for ``rhs``.
 
-        ``rhs`` and ``out`` may be Fields or ndarrays, may be strided
+        ``rhs`` and ``out`` are ndarrays or views of them: they may be strided
         sub-blocks of larger allocations, and may alias each other.  Returns
         ``(solution, report)``; ``rhs`` is preserved unless ``out`` aliases it.
         Without ``out`` the solution is a fresh C-contiguous array in the
         plan's precision.
         """
         t_enter = time.perf_counter()
-        rhs_arr = as_array(rhs)
+        rhs_arr = np.asarray(rhs)
         if rhs_arr.shape != self.shape:
             raise ValueError(f"rhs extents {rhs_arr.shape} do not match plan extents {self.shape}")
         if not np.isfinite(rhs_arr).all():
             raise ValueError("rhs contains non-finite values")
         out_arr = None
         if out is not None:
-            out_arr = as_array(out)
+            out_arr = np.asarray(out)
             if out_arr.shape != self.shape:
                 raise ValueError(
                     f"solution extents {out_arr.shape} do not match plan extents {self.shape}"
@@ -377,7 +376,7 @@ class SolverPlan:
         return work
 
 
-def apply_discrete_laplacian(config: SolverConfig, field, out=None) -> np.ndarray:
+def apply_discrete_laplacian(config: SolverConfig, field) -> np.ndarray:
     """Apply the second-order central-difference Laplacian with the plan's
     boundary closures (verification aid; finite-difference approximation only).
 
@@ -387,16 +386,12 @@ def apply_discrete_laplacian(config: SolverConfig, field, out=None) -> np.ndarra
     """
     if config.approximation is not Approximation.FINITE_DIFFERENCE_2:
         raise ConfigurationError("discrete Laplacian is defined for the fd2 approximation")
-    arr = as_array(field)
+    arr = np.asarray(field)
     if arr.shape != config.shape:
         raise ValueError(f"field extents {arr.shape} do not match config extents {config.shape}")
     result = np.zeros(arr.shape, dtype=np.result_type(arr.dtype, np.float64))
     for ax, spec in enumerate(config.grids):
         result += _second_difference(arr, ax, spec)
-    if out is not None:
-        out_arr = as_array(out)
-        out_arr[...] = result
-        return out_arr
     return result
 
 

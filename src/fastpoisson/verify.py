@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .field import as_array
 from .grid import (
     Approximation,
     BoundaryCondition,
@@ -87,7 +86,7 @@ def dense_oracle_solve(config: SolverConfig, rhs) -> np.ndarray:
     compatible system is solved by SVD least squares, and the solution is
     shifted to zero mean.
     """
-    rhs_arr = np.asarray(as_array(rhs), dtype=np.float64)
+    rhs_arr = np.asarray(rhs, dtype=np.float64)
     if rhs_arr.shape != config.shape:
         raise ValueError(f"rhs extents {rhs_arr.shape} do not match config extents {config.shape}")
     mat = laplacian_matrix(config)

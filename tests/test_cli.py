@@ -184,28 +184,43 @@ def test_bench_csv_output(tmp_path):
         assert parts <= by_phase["total"] * 1.05
 
 
-def test_bench_rejects_bad_sizes(tmp_path):
-    assert main(["bench", "--sizes", "0", "--dims", "1"]) == 2
-    assert main(["bench", "--sizes", "8", "--dims", "1", "--reps", "0"]) == 2
-
-
-@pytest.mark.parametrize("args,message", [
-    (["bench", "--sizes", "8,x", "--dims", "1"], "'8,x'"),
-    (["demo-flow", "--dt", "0", "--steps", "2"], "--dt"),
-    (["demo-flow", "--dt", "-0.01", "--steps", "2"], "--dt"),
-    (["demo-flow", "--cells", "8,y", "--steps", "2"], "'8,y'"),
-    (["demo-flow", "--steps", "-3"], "--steps"),
-    (["demo-flow", "--steps", "2", "--snapshot-every", "-1"], "--snapshot-every"),
-], ids=["bench-sizes-not-int", "flow-dt-zero", "flow-dt-negative", "flow-cells-not-int",
+@pytest.mark.parametrize("args,code,message", [
+    (["bench", "--sizes", "8,x", "--dims", "1"], 2, "'8,x'"),
+    (["bench", "--sizes", "0", "--dims", "1"], 2, "'0'"),
+    (["bench", "--sizes", "8", "--dims", "1", "--reps", "0"], 2, "reps"),
+    (["bench", "--sizes", "8", "--dims", "1", "--seed", "-2"], 2, "--seed"),
+    (["bench", "--sizes", "8", "--dims", "1", "--size", "8"], 2, "--size"),
+    (["bench", "--sizes", "8", "--dims", "1", "--format-version", "2"], 2, "--format-version"),
+    (["verify", "--seed", "-1"], 2, "--seed"),
+    (["solve", "--in", "rhs.json", "--format-version", "2"], 2, "format version 2"),
+    (["solve", "--in", "no-such-dir/rhs.json"], 3, "rhs.json"),
+    (["demo-flow", "--dt", "0", "--steps", "2"], 2, "--dt"),
+    (["demo-flow", "--dt", "-0.01", "--steps", "2"], 2, "--dt"),
+    (["demo-flow", "--dt", "inf", "--steps", "2"], 2, "--dt"),
+    (["demo-flow", "--nu", "-1", "--steps", "2"], 2, "--nu"),
+    (["demo-flow", "--nu", "nan", "--steps", "2"], 2, "--nu"),
+    (["demo-flow", "--cells", "8,y", "--steps", "2"], 2, "'8,y'"),
+    (["demo-flow", "--steps", "-3"], 2, "--steps"),
+    (["demo-flow", "--steps", "2", "--snapshot-every", "-1"], 2, "--snapshot-every"),
+], ids=["bench-sizes-not-int", "bench-sizes-zero", "bench-reps-zero", "bench-seed-negative",
+        "bench-size-flag", "bench-format-version-flag", "verify-seed-negative",
+        "solve-format-version", "solve-missing-input", "flow-dt-zero", "flow-dt-negative",
+        "flow-dt-inf", "flow-nu-negative", "flow-nu-nan", "flow-cells-not-int",
         "flow-steps-negative", "flow-snapshot-every-negative"])
-def test_bad_flag_exits_2_with_message(args, message, tmp_path, capsys):
-    if args[0] == "demo-flow":
-        args = args + ["--out", str(tmp_path / "flow")]
-    assert main(args) == 2
+def test_bad_flag_exits_2_with_message(args, code, message, tmp_path, capsys):
+    """Bad input exits with its documented code and a message, never a
+    traceback; argparse's own rejections exit 2 through ``SystemExit``."""
+    if args[0] in ("solve", "demo-flow"):
+        args = args + ["--out", str(tmp_path / "out")]
+    try:
+        exit_code = main(args)
+    except SystemExit as exc:
+        exit_code = exc.code
+    assert exit_code == code
     captured = capsys.readouterr()
     assert message in captured.err and "Traceback" not in captured.err
     assert captured.out == ""
-    assert not (tmp_path / "flow").exists()
+    assert not (tmp_path / "out").exists()
 
 
 def test_bench_reports_threads_the_plan_used(tmp_path):
