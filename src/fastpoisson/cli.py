@@ -1,4 +1,4 @@
-"""Command-line front end: solve from files, verification suites, timing sweeps, flow demo.
+"""Command-line front end: solve from files, verification suites, flow demo.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
 3 I/O or file-format error, 4 allocation failure, 5 flow instability.
@@ -13,7 +13,6 @@ import csv
 import dataclasses
 import json
 import math
-import statistics
 import sys
 import time
 from datetime import datetime, timezone
@@ -53,8 +52,6 @@ def main(argv=None) -> int:
         parser.print_help()
         return EXIT_CONFIG
     try:
-        if getattr(args, "seed", 0) < 0:
-            raise ConfigurationError(f"--seed must be non-negative, got {args.seed}")
         return args.func(args)
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -75,12 +72,20 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="Fast direct Poisson solver toolkit")
     parser.add_argument("--version", action="version", version=f"fastpoisson {__version__}")
     sub = parser.add_subparsers(dest="subcommand")
-    # flags are taken only spelled out: ``bench --size`` must not mean ``--sizes``
+    # flags are taken only spelled out: a prefix such as ``verify --in`` must
+    # not reach the hidden ``--inject-eigenvalue-fault``
 
     ps = sub.add_parser("solve", allow_abbrev=False,
                         help="solve a Poisson problem stored in a field file")
     ps.add_argument("--size", help="points per axis, e.g. 64 or 64,32,16")
-    _add_config_flags(ps)
+    ps.add_argument("--length", help="physical lengths per axis (default 1 each)")
+    ps.add_argument("--bc", help="boundary condition per axis: periodic|dirichlet|neumann "
+                    "(default periodic)")
+    ps.add_argument("--grid", help="grid kind per axis: regular|staggered (default regular)")
+    ps.add_argument("--approx", default="fd2", choices=sorted(_APPROX),
+                    help="approximation (default fd2)")
+    ps.add_argument("--precision", default=None, choices=("double", "single"))
+    ps.add_argument("--threads", type=int, default=1)
     ps.add_argument("--format-version", type=int, default=1)
     ps.add_argument("--in", dest="input", required=True, help="input field header (.json)")
     ps.add_argument("--out", required=True, help="output directory")
@@ -97,15 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help=argparse.SUPPRESS)  # test hook: perturb one eigenvalue by 1+1e-6
     pv.set_defaults(func=cmd_verify)
 
-    pb = sub.add_parser("bench", allow_abbrev=False, help="timing sweep over problem sizes")
-    _add_config_flags(pb)
-    pb.add_argument("--sizes", required=True,
-                    help="comma list of per-axis sizes, e.g. 64,128,256")
-    pb.add_argument("--dims", type=int, default=3, choices=(1, 2, 3))
-    pb.add_argument("--reps", type=int, default=3)
-    pb.add_argument("--out", help="CSV output path (default: stdout)")
-    pb.set_defaults(func=cmd_bench)
-
     pd = sub.add_parser("demo-flow", allow_abbrev=False,
                         help="incompressible-flow projection demo")
     pd.add_argument("--case", choices=("taylor-green", "channel"), default="taylor-green")
@@ -116,23 +112,9 @@ def build_parser() -> argparse.ArgumentParser:
     pd.add_argument("--steps", type=int, default=100)
     pd.add_argument("--forcing", type=float, default=0.0, help="streamwise body force (channel)")
     pd.add_argument("--snapshot-every", type=int, default=0, help="0 disables snapshots")
-    pd.add_argument("--threads", type=int, default=1)
-    pd.add_argument("--seed", type=int, default=0)
     pd.add_argument("--out", required=True, help="output directory")
     pd.set_defaults(func=cmd_demo_flow)
     return parser
-
-
-def _add_config_flags(p):
-    p.add_argument("--length", help="physical lengths per axis (default 1 each)")
-    p.add_argument("--bc", help="boundary condition per axis: periodic|dirichlet|neumann "
-                   "(default periodic)")
-    p.add_argument("--grid", help="grid kind per axis: regular|staggered (default regular)")
-    p.add_argument("--approx", default="fd2", choices=sorted(_APPROX),
-                   help="approximation (default fd2)")
-    p.add_argument("--precision", default=None, choices=("double", "single"))
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
 
 
 def _split(text, count, convert, what):
@@ -155,7 +137,7 @@ def _int_list(text, what):
         raise ConfigurationError(f"cannot parse {what} list {text!r}") from None
 
 
-def _grids_from_flags(args, dims, sizes, header=None):
+def _grids_from_flags(args, dims, sizes, header):
     """Grids from the geometry flags.  A flag that is given overrides the
     header; one left out takes the header's value, or its default (length 1,
     periodic, regular) when there is no header."""
@@ -180,7 +162,6 @@ def _write_manifest(outdir: Path, args, outputs):
     manifest = {
         "subcommand": args.subcommand,
         "configuration": resolved,
-        "seed": getattr(args, "seed", 0),
         "outputs": [str(o) for o in outputs],
         "library_version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
@@ -251,6 +232,8 @@ def cmd_verify(args) -> int:
                                ("approx", args.approx, _APPROX)):
         if value and value not in table:
             raise ConfigurationError(f"unknown {flag} {value!r}; expected one of {sorted(table)}")
+    if args.seed < 0:
+        raise ConfigurationError(f"--seed must be non-negative, got {args.seed}")
     bc = _BC[args.bc] if args.bc else None
     kind = _KIND[args.grid] if args.grid else None
     approx = _APPROX[args.approx] if args.approx else None
@@ -277,64 +260,6 @@ def cmd_verify(args) -> int:
     else:
         sys.stdout.write(text)
     return EXIT_OK if summary["passed"] else EXIT_FAILED
-
-
-# -- bench --------------------------------------------------------------------
-
-
-def cmd_bench(args) -> int:
-    sizes = _int_list(args.sizes, "sizes")
-    if not sizes or any(s < 1 for s in sizes):
-        raise ConfigurationError(f"sizes must be positive, got {args.sizes!r}")
-    if args.reps < 1:
-        raise ConfigurationError("reps must be >= 1")
-    rows = []
-    rng = np.random.default_rng(args.seed)
-    for n in sizes:
-        shape = (n,) * args.dims
-        grids = _grids_from_flags(args, args.dims, shape)
-        config = SolverConfig(grids, _APPROX[args.approx],
-                              precision=args.precision or "double")
-        # one row per phase: whole plan builds first, then the phases of the
-        # solve's report in order, then the time around the solve call
-        samples = {"plan": []}
-        for _ in range(args.reps):
-            t0 = time.perf_counter()
-            plan = SolverPlan(config, threads=args.threads)
-            samples["plan"].append(time.perf_counter() - t0)
-        rhs = rng.standard_normal(shape)
-        plan.solve(rhs)  # warm-up excluded from timing
-        for _ in range(args.reps):
-            t0 = time.perf_counter()
-            _, report = plan.solve(rhs)
-            total = time.perf_counter() - t0
-            for phase, seconds in report.timing.items():
-                samples.setdefault(phase, []).append(seconds)
-            samples.setdefault("total", []).append(total)
-        for phase, values in samples.items():
-            rows.append(
-                {
-                    "size": n,
-                    "phase": phase,
-                    "median_seconds": statistics.median(values),
-                    "min_seconds": min(values),
-                    "threads": plan.threads,
-                }
-            )
-    fieldnames = ["size", "phase", "median_seconds", "min_seconds", "threads"]
-    if args.out:
-        outpath = Path(args.out)
-        outpath.parent.mkdir(parents=True, exist_ok=True)
-        with open(outpath, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=fieldnames)
-            writer.writeheader()
-            writer.writerows(rows)
-        _write_manifest(outpath.parent, args, [outpath])
-    else:
-        writer = csv.DictWriter(sys.stdout, fieldnames=fieldnames)
-        writer.writeheader()
-        writer.writerows(rows)
-    return EXIT_OK
 
 
 # -- demo-flow ----------------------------------------------------------------
@@ -373,9 +298,8 @@ def cmd_demo_flow(args) -> int:
     series_path = outdir / "series.csv"
     with open(series_path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["step", "time", "kinetic_energy", "max_divergence", "max_stage_divergence",
-                         "poisson_seconds"])
-        writer.writerow([0, 0.0, flow.kinetic_energy(), flow.max_divergence(), 0.0, 0.0])
+        writer.writerow(["step", "time", "kinetic_energy", "max_divergence", "poisson_seconds"])
+        writer.writerow([0, 0.0, flow.kinetic_energy(), flow.max_divergence(), 0.0])
         for step in range(1, args.steps + 1):
             try:
                 flow.rk3_step(args.dt)
@@ -388,7 +312,6 @@ def cmd_demo_flow(args) -> int:
                     flow.time,
                     flow.kinetic_energy(),
                     flow.max_divergence(),
-                    max(flow.stage_divergence),
                     flow.poisson_seconds,
                 ]
             )

@@ -329,7 +329,6 @@ class ProjectionFlow:
         self.forcing = (float(forcing[0]), float(forcing[1]))
         self.time = 0.0
         self.step_count = 0
-        self.stage_divergence = []  # max |div| after each stage of the last step
         # wall time inside the last step's three Poisson solves, summed from
         # their reports' phase timings
         self.poisson_seconds = 0.0
@@ -357,7 +356,6 @@ class ProjectionFlow:
         zeta = [float(z) for z in self.coefficients.zeta]
         fx, fz = self.forcing
 
-        self.stage_divergence = []
         poisson_seconds = 0.0
         if not (np.isfinite(vel.u).all() and np.isfinite(vel.w).all()):
             raise FloatingPointError(
@@ -414,7 +412,6 @@ class ProjectionFlow:
                 raise FloatingPointError(
                     f"non-finite velocity after stage {k + 1} of step {self.step_count + 1}"
                 )
-            self.stage_divergence.append(float(np.abs(divergence(vel)).max()))
 
         self.poisson_seconds = poisson_seconds
         self.time += dt

@@ -195,7 +195,9 @@ class SolverPlan:
 
     def __init__(self, config: SolverConfig, threads: int = 1):
         self.config = config
-        self.threads = max(1, int(threads))
+        if threads < 1:
+            raise ConfigurationError(f"threads must be at least 1, got {threads}")
+        self.threads = int(threads)
         self.shape = config.shape
         self.dtype = config.dtype
 

@@ -1,9 +1,13 @@
+import argparse
 import csv
+import inspect
 import json
+import re
 
 import numpy as np
 import pytest
 
+from fastpoisson import cli
 from fastpoisson.cli import main
 from fastpoisson.fieldio import read_field, write_field
 from fastpoisson.grid import BoundaryCondition as BC, GridKind as GK, GridSpec
@@ -42,7 +46,7 @@ def test_solve_writes_outputs_and_manifest(rhs_file, tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["subcommand"] == "solve"
     assert manifest["library_version"]
-    assert manifest["seed"] == 0
+    assert "seed" not in manifest and "seed" not in manifest["configuration"]
     assert any("solution" in o for o in manifest["outputs"])
 
 
@@ -161,39 +165,19 @@ def test_verify_fault_injection_fails(tmp_path):
     assert not any(c["passed"] for c in solver_cases)
 
 
-def test_bench_csv_output(tmp_path):
-    out = tmp_path / "bench.csv"
-    code = main(["bench", "--sizes", "16,32", "--dims", "2", "--bc", "periodic",
-                 "--approx", "spectral", "--reps", "3", "--out", str(out)])
-    assert code == 0
-    with open(out, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert [r["phase"] for r in rows if int(r["size"]) == 16] == [
-        "plan", "setup", "forward", "diagonal", "backward", "finish", "total"]
-    assert {int(r["size"]) for r in rows} == {16, 32}
-    for r in rows:
-        assert float(r["min_seconds"]) <= float(r["median_seconds"])
-        assert r["threads"] == "1"
-    # per-phase split of a solve roughly accounts for the total; the plan
-    # row times the builds, which lie outside the solve call
-    for n in (16, 32):
-        by_phase = {r["phase"]: float(r["median_seconds"]) for r in rows if int(r["size"]) == n}
-        assert by_phase["plan"] > 0.0
-        parts = sum(seconds for phase, seconds in by_phase.items()
-                    if phase not in ("plan", "total"))
-        assert parts <= by_phase["total"] * 1.05
-
-
 @pytest.mark.parametrize("args,code,message", [
-    (["bench", "--sizes", "8,x", "--dims", "1"], 2, "'8,x'"),
-    (["bench", "--sizes", "0", "--dims", "1"], 2, "'0'"),
-    (["bench", "--sizes", "8", "--dims", "1", "--reps", "0"], 2, "reps"),
-    (["bench", "--sizes", "8", "--dims", "1", "--seed", "-2"], 2, "--seed"),
-    (["bench", "--sizes", "8", "--dims", "1", "--size", "8"], 2, "--size"),
-    (["bench", "--sizes", "8", "--dims", "1", "--format-version", "2"], 2, "--format-version"),
+    (["bench", "--sizes", "8,x", "--dims", "1"], 2, "'bench'"),
+    (["bench", "--sizes", "0", "--dims", "1"], 2, "'bench'"),
+    (["bench", "--sizes", "8", "--dims", "1", "--reps", "0"], 2, "'bench'"),
+    (["bench", "--sizes", "8", "--dims", "1", "--seed", "-2"], 2, "'bench'"),
+    (["bench", "--sizes", "8", "--dims", "1", "--size", "8"], 2, "'bench'"),
+    (["bench", "--sizes", "8", "--dims", "1", "--format-version", "2"], 2, "'bench'"),
     (["verify", "--seed", "-1"], 2, "--seed"),
+    (["verify", "--threads", "-3"], 2, "threads must be at least 1"),
     (["solve", "--in", "rhs.json", "--format-version", "2"], 2, "format version 2"),
     (["solve", "--in", "no-such-dir/rhs.json"], 3, "rhs.json"),
+    (["solve", "--in", "rhs.json", "--seed", "1"], 2, "unrecognized arguments"),
+    (["solve", "--in", "rhs.json", "--threads", "0"], 2, "threads must be at least 1"),
     (["demo-flow", "--dt", "0", "--steps", "2"], 2, "--dt"),
     (["demo-flow", "--dt", "-0.01", "--steps", "2"], 2, "--dt"),
     (["demo-flow", "--dt", "inf", "--steps", "2"], 2, "--dt"),
@@ -202,14 +186,21 @@ def test_bench_csv_output(tmp_path):
     (["demo-flow", "--cells", "8,y", "--steps", "2"], 2, "'8,y'"),
     (["demo-flow", "--steps", "-3"], 2, "--steps"),
     (["demo-flow", "--steps", "2", "--snapshot-every", "-1"], 2, "--snapshot-every"),
+    (["demo-flow", "--steps", "2", "--threads", "2"], 2, "unrecognized arguments"),
+    (["demo-flow", "--steps", "2", "--seed", "1"], 2, "unrecognized arguments"),
 ], ids=["bench-sizes-not-int", "bench-sizes-zero", "bench-reps-zero", "bench-seed-negative",
-        "bench-size-flag", "bench-format-version-flag", "verify-seed-negative",
-        "solve-format-version", "solve-missing-input", "flow-dt-zero", "flow-dt-negative",
-        "flow-dt-inf", "flow-nu-negative", "flow-nu-nan", "flow-cells-not-int",
-        "flow-steps-negative", "flow-snapshot-every-negative"])
-def test_bad_flag_exits_2_with_message(args, code, message, tmp_path, capsys):
+        "bench-size-flag", "bench-format-version-flag", "verify-seed-negative", "verify-threads-negative",
+        "solve-format-version", "solve-missing-input", "solve-seed-flag", "solve-threads-zero",
+        "flow-dt-zero", "flow-dt-negative", "flow-dt-inf", "flow-nu-negative", "flow-nu-nan",
+        "flow-cells-not-int", "flow-steps-negative", "flow-snapshot-every-negative",
+        "flow-threads-flag", "flow-seed-flag"])
+def test_bad_flag_exits_2_with_message(args, code, message, tmp_path, monkeypatch, capsys):
     """Bad input exits with its documented code and a message, never a
-    traceback; argparse's own rejections exit 2 through ``SystemExit``."""
+    traceback; argparse's own rejections exit 2 through ``SystemExit``.
+    The ``bench-*`` rows keep the old sweep's bad inputs: with the
+    subcommand gone, each is rejected as an unknown command."""
+    monkeypatch.chdir(tmp_path)
+    write_field(tmp_path / "rhs", np.ones((4, 4)))  # a valid ``rhs.json``
     if args[0] in ("solve", "demo-flow"):
         args = args + ["--out", str(tmp_path / "out")]
     try:
@@ -221,14 +212,6 @@ def test_bad_flag_exits_2_with_message(args, code, message, tmp_path, capsys):
     assert message in captured.err and "Traceback" not in captured.err
     assert captured.out == ""
     assert not (tmp_path / "out").exists()
-
-
-def test_bench_reports_threads_the_plan_used(tmp_path):
-    out = tmp_path / "bench.csv"
-    assert main(["bench", "--sizes", "8", "--dims", "1", "--reps", "1",
-                 "--threads", "0", "--out", str(out)]) == 0
-    with open(out, newline="") as fh:
-        assert {r["threads"] for r in csv.DictReader(fh)} == {"1"}
 
 
 def test_demo_flow_taylor_green_series(tmp_path):
@@ -283,3 +266,18 @@ def test_manifest_written_for_demo(tmp_path):
     assert manifest["subcommand"] == "demo-flow"
     assert manifest["configuration"]["dt"] == 0.01
     assert "series.csv" in " ".join(manifest["outputs"])
+
+
+def test_every_flag_is_read_by_its_command():
+    """A flag that only reaches the manifest (``vars(args)``) is not read:
+    each one must be named as ``args.<dest>`` by its command's function,
+    ``main`` or the shared grid parser."""
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    shared = inspect.getsource(cli.main) + inspect.getsource(cli._grids_from_flags)
+    unread = {}
+    for name, sub in subparsers.choices.items():
+        source = inspect.getsource(sub.get_default("func")) + shared
+        unread[name] = [a.dest for a in sub._actions if a.dest != "help"
+                        and not re.search(rf"\bargs\.{a.dest}\b", source)]
+    assert unread == {name: [] for name in subparsers.choices}

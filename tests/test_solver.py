@@ -9,7 +9,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from fastpoisson.eigenvalues import combine_eigenvalues, eigenvalue_table, spectral_eigenvalues
 from fastpoisson.grid import (
@@ -421,6 +421,13 @@ def test_thread_count_does_not_change_results(rng):
     np.testing.assert_allclose(sol2, sol1, atol=1e-13 * np.abs(sol1).max())
 
 
+def test_plan_rejects_threads_below_one():
+    config = uniform_config(BC.PERIODIC, GK.REGULAR, (8,))
+    for threads in (0, -3):
+        with pytest.raises(ConfigurationError, match="threads must be at least 1"):
+            SolverPlan(config, threads=threads)
+
+
 # -- discrete Laplacian aid -------------------------------------------------------
 
 
@@ -603,6 +610,28 @@ def test_property_out_fresh_subblock_and_aliased_bit_identical(config, seed, off
     shared[:-1] = rhs
     sol, _ = plan.solve(shared[:-1], out=shared[1:])
     assert sol.base is shared and shared[1:].tobytes() == expected.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(config=fd2_configs(precisions=("double", "single")), seed=st.integers(0, 2**32 - 1))
+def test_property_matches_dense_oracle_in_both_precisions(config, seed):
+    # the oracle factorizes an N x N matrix; N <= 1000 keeps an example
+    # within about a second
+    assume(math.prod(config.shape) <= 1000)
+    rhs = np.random.default_rng(seed).standard_normal(config.shape)
+    sol, _ = SolverPlan(config, threads=1).solve(rhs)
+    again, _ = SolverPlan(config, threads=2).solve(rhs)
+    assert again.tobytes() == sol.tobytes()
+
+    ref = dense_oracle_solve(config, rhs)
+    # condition number on the operator's range: a singular operator's one
+    # null mode is projected out by both solvers
+    sigma = np.linalg.svd(laplacian_matrix(config), compute_uv=False)
+    if config.singular:
+        sigma = sigma[:-1]
+    cond = sigma[0] / sigma[-1] if sigma.size else 1.0
+    tol = 64 * np.finfo(config.dtype).eps * cond * np.abs(ref).max()
+    assert np.abs(sol - ref).max() <= tol
 
 
 def dense_inverse_eigenvalues(config):
