@@ -18,8 +18,6 @@ be sub-blocks of larger allocations (ghost-cell layouts) and may alias.
 """
 
 from .eigenvalues import (
-    CombinedEigenvalues,
-    EigenvalueTable,
     combine_eigenvalues,
     eigenvalue_table,
     fd2_eigenvalues,
@@ -51,9 +49,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Approximation",
     "BoundaryCondition",
-    "CombinedEigenvalues",
     "ConfigurationError",
-    "EigenvalueTable",
     "GridKind",
     "GridSpec",
     "SolveReport",

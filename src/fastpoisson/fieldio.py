@@ -9,6 +9,7 @@ and byte order.  The payload (``<name>.bin``) is the raw scalars in C order
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -80,6 +81,8 @@ def read_field(header_path):
             header = json.load(fh)
     except json.JSONDecodeError as exc:
         raise FieldFormatError(f"{header_path}: invalid JSON header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise FieldFormatError(f"{header_path}: header must be a JSON object, got {header!r}")
     for key in ("format_version", "dims", "extents", "precision", "byte_order", "payload"):
         if key not in header:
             raise FieldFormatError(f"{header_path}: missing header key {key!r}")
@@ -91,9 +94,10 @@ def read_field(header_path):
         raise FieldFormatError(f"{header_path}: unsupported byte order {header['byte_order']!r}")
     if header.get("order", "C") != "C":
         raise FieldFormatError(f"{header_path}: unsupported storage order {header['order']!r}")
-    dtype = _PRECISION_TO_DTYPE.get(header["precision"])
+    precision = header["precision"]
+    dtype = _PRECISION_TO_DTYPE.get(precision) if isinstance(precision, str) else None
     if dtype is None:
-        raise FieldFormatError(f"{header_path}: unsupported precision {header['precision']!r}")
+        raise FieldFormatError(f"{header_path}: unsupported precision {precision!r}")
     extents = header["extents"]
     if not isinstance(extents, list) or not all(
         isinstance(e, int) and not isinstance(e, bool) and e >= 0 for e in extents
@@ -106,7 +110,8 @@ def read_field(header_path):
         raise FieldFormatError(f"{header_path}: dims {header['dims']} != extents rank {len(extents)}")
     payload_path = _payload_path(header_path, header["payload"])
     raw = payload_path.read_bytes()
-    expected = int(np.prod(extents)) * np.dtype(dtype).itemsize
+    # math.prod, as np.prod would wrap around in int64 for huge extents
+    expected = math.prod(extents) * np.dtype(dtype).itemsize
     if len(raw) != expected:
         raise FieldFormatError(
             f"{payload_path}: payload is {len(raw)} bytes, expected {expected} for extents {extents}"

@@ -7,8 +7,7 @@ transform can run, and copies the results back.  It is pure data movement
 (no arithmetic) organized in tiles for cache friendliness, and is the seam
 where a distributed exchange would slot in.
 
-``gather`` followed by ``scatter`` is the identity, bit-exact, for any tile
-size.
+``gather`` followed by ``scatter`` is the identity, bit-exact.
 """
 
 from __future__ import annotations
@@ -18,16 +17,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_TILE = 64
+# edge of the square blocks the copies go through
+_TILE = 64
 
 
 @dataclass(frozen=True)
 class ReorderPlan:
-    """Extents of the source field, the axis whose lines are gathered, and the tile size."""
+    """Extents of the source field and the axis whose lines are gathered."""
 
     extents: tuple
     axis: int
-    tile: int = DEFAULT_TILE
 
     def __post_init__(self):
         object.__setattr__(self, "extents", tuple(int(e) for e in self.extents))
@@ -35,8 +34,6 @@ class ReorderPlan:
             raise ValueError(f"1 to 3 axes supported, got extents {self.extents}")
         axis = self.axis % len(self.extents)
         object.__setattr__(self, "axis", axis)
-        if self.tile < 1:
-            raise ValueError(f"tile size must be positive, got {self.tile}")
 
     @property
     def line_length(self) -> int:
@@ -62,14 +59,14 @@ def gather_lines(plan: ReorderPlan, field: np.ndarray, buffer: np.ndarray) -> No
     """
     src = _lines_view(plan, field)
     dst = _buffer_view(plan, buffer, src.shape)
-    _tiled_copy(src, dst, plan.tile)
+    _tiled_copy(src, dst)
 
 
 def scatter_lines(plan: ReorderPlan, buffer: np.ndarray, field: np.ndarray) -> None:
     """Inverse of :func:`gather_lines`: write buffer rows back into the field."""
     dst = _lines_view(plan, field)
     src = _buffer_view(plan, buffer, dst.shape)
-    _tiled_copy(src, dst, plan.tile)
+    _tiled_copy(src, dst)
 
 
 def _buffer_view(plan: ReorderPlan, buffer: np.ndarray, line_shape):
@@ -87,7 +84,7 @@ def _lines_view(plan: ReorderPlan, field: np.ndarray):
     return np.moveaxis(field, plan.axis, -1)
 
 
-def _tiled_copy(src, dst, tile):
+def _tiled_copy(src, dst):
     if src.shape != dst.shape:
         raise ValueError(f"buffer shape {dst.shape} does not match line layout {src.shape}")
     if src.ndim == 1:
@@ -96,13 +93,13 @@ def _tiled_copy(src, dst, tile):
     # tile the last two dimensions; iterate any outer dimension directly
     if src.ndim == 3:
         for i in range(src.shape[0]):
-            _tiled_copy2d(src[i], dst[i], tile)
+            _tiled_copy2d(src[i], dst[i])
     else:
-        _tiled_copy2d(src, dst, tile)
+        _tiled_copy2d(src, dst)
 
 
-def _tiled_copy2d(src, dst, tile):
+def _tiled_copy2d(src, dst):
     rows, cols = src.shape
-    for r in range(0, rows, tile):
-        for c in range(0, cols, tile):
-            dst[r : r + tile, c : c + tile] = src[r : r + tile, c : c + tile]
+    for r in range(0, rows, _TILE):
+        for c in range(0, cols, _TILE):
+            dst[r : r + _TILE, c : c + _TILE] = src[r : r + _TILE, c : c + _TILE]

@@ -13,7 +13,8 @@ axes it treats as periodic.  Arrays use C (row-major) order throughout; the
 last axis is the contiguous one.
 
 Singular configurations (every axis periodic or Neumann) are handled by
-zeroing the null-mode coefficient: the removed mean of the right-hand side is
+zeroing the null-mode coefficient, the one at index (0, .., 0) of every
+transform: the removed mean of the right-hand side is
 reported and the returned solution is adjusted to have zero arithmetic mean,
 i.e. zero projection onto the null space of the discrete operator.
 
@@ -41,7 +42,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 from scipy import fft as _sfft
 
-from .eigenvalues import EigenvalueTable, combine_eigenvalues, eigenvalue_table
+from .eigenvalues import combine_eigenvalues, eigenvalue_table
 from .grid import (
     Approximation,
     BoundaryCondition,
@@ -190,8 +191,8 @@ class PlanDescription:
 
 
 class SolverPlan:
-    """Immutable precomputation for one configuration: transform plans per axis,
-    the inverse-eigenvalue array, and null-mode bookkeeping."""
+    """Immutable precomputation for one configuration: transform plans per axis
+    and the inverse-eigenvalue array."""
 
     def __init__(self, config: SolverConfig, threads: int = 1):
         self.config = config
@@ -202,31 +203,26 @@ class SolverPlan:
         self.dtype = config.dtype
 
         self._pairs = [transform_pair_for(g.bc, g.kind) for g in config.grids]
-        self.tables = [eigenvalue_table(g, config.approximation) for g in config.grids]
-        tables = list(self.tables)
+        tables = [eigenvalue_table(g, config.approximation) for g in config.grids]
         if config.periodic_axes:
             # rfftn keeps the Hermitian half of the last periodic axis, so the
             # eigenvalues are summed on that half only
             half = config.periodic_axes[-1]
-            cut = tables[half]
-            tables[half] = EigenvalueTable(cut.values[: self.shape[half] // 2 + 1],
-                                           cut.null_indices)
-        combined = combine_eigenvalues(tables)
+            tables[half] = tables[half][: self.shape[half] // 2 + 1]
+        inv = combine_eigenvalues(tables)
         # the diagonal pass is a single multiply that divides by the
-        # eigenvalue, projects out the null modes (their zero sums, of either
-        # sign, become +0.0), and carries the backward normalization of the
+        # eigenvalue, projects out the null mode (its zero sum, of either
+        # sign, becomes +0.0), and carries the backward normalization of the
         # real-transform pairs; the periodic axes need none, as irfftn applies
         # 1/N itself.  The combined array is the plan's own, so it is
         # inverted in place.
         backward_scale = math.prod(
             pair.backward_scale(g.n) for g, pair in zip(config.grids, self._pairs)
         )
-        inv = combined.values
         np.divide(backward_scale, inv, out=inv, where=inv != 0.0)
-        for mode in combined.null_modes:
-            inv[mode] = 0.0
+        if config.singular:
+            inv[(0,) * config.dims] = 0.0
         self._inv_lam = inv.astype(self.dtype, copy=False)
-        self.null_modes = combined.null_modes
 
         self._periodic_axes = config.periodic_axes
         self._periodic_lengths = tuple(self.shape[ax] for ax in self._periodic_axes)
@@ -340,7 +336,7 @@ class SolverPlan:
             work = _sfft.rfftn(work, axes=self._periodic_axes, workers=self.threads)
         t1 = time.perf_counter()
         if self.singular:
-            coeff = work[tuple(self.null_modes[0])]
+            coeff = work[(0,) * work.ndim]
             report.removed_mean = float(np.real(coeff)) / self._null_scale
         work *= self._inv_lam
         t2 = time.perf_counter()

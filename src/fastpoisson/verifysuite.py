@@ -5,9 +5,6 @@ transform round trips, agreement of the fast transforms with the naive
 direct-summation oracle, eigenvector consistency, eigenmode solve exactness,
 agreement with the dense factorization oracle, and a small convergence study.
 Results come back as a list of per-check dictionaries suitable for JSON.
-
-``eigenvalue_fault`` perturbs one eigenvalue of every solver plan built here
-(a sensitivity hook: a healthy harness must report failures when it is set).
 """
 
 from __future__ import annotations
@@ -43,8 +40,7 @@ SUPPORTED_ROWS = (
 )
 
 
-def run_suites(bc=None, kind=None, approximation=None, seed=0, threads=1,
-               eigenvalue_fault=0.0):
+def run_suites(bc=None, kind=None, approximation=None, seed=0, threads=1):
     rows = [
         (b, k)
         for b, k in SUPPORTED_ROWS
@@ -62,9 +58,9 @@ def run_suites(bc=None, kind=None, approximation=None, seed=0, threads=1,
         results.append(_check_naive_oracle(b, k, rng))
         for approx in approximations:
             results.append(_check_eigenvectors(b, k, approx))
-            results.append(_check_eigenmode_solve(b, k, approx, threads, eigenvalue_fault))
+            results.append(_check_eigenmode_solve(b, k, approx, threads))
             if approx is Approximation.FINITE_DIFFERENCE_2:
-                results.append(_check_dense_oracle(b, k, rng, threads, eigenvalue_fault))
+                results.append(_check_dense_oracle(b, k, rng, threads))
             results.append(_check_convergence(b, k, approx, threads))
     return results
 
@@ -78,17 +74,6 @@ def _result(suite, b, k, approx, passed, detail):
         "passed": bool(passed),
         "detail": detail,
     }
-
-
-def _make_plan(config, threads, fault):
-    plan = SolverPlan(config, threads=threads)
-    if fault:
-        # scale the largest-magnitude eigenvalue by 1 + fault; it owns the
-        # smallest nonzero entry of the inverse-eigenvalue array
-        inv = plan._inv_lam
-        magnitude = np.where(inv != 0.0, np.abs(inv), np.inf)
-        inv[np.unravel_index(np.argmin(magnitude), inv.shape)] /= 1.0 + fault
-    return plan
 
 
 def _check_round_trip(b, k, rng):
@@ -132,7 +117,7 @@ def _check_eigenvectors(b, k, approx):
             scale = 4.0 / spec.dx ** 2
             for kk in range(n):
                 v = basis_vector(spec, kk)
-                err = float(np.abs(mat @ v - table.values[kk] * v).max())
+                err = float(np.abs(mat @ v - table[kk] * v).max())
                 worst = max(worst, err / (scale * np.abs(v).max()))
         else:
             # sampled continuous basis functions transform to a single index
@@ -151,15 +136,15 @@ def _check_eigenvectors(b, k, approx):
                    {"worst_relative_error": worst})
 
 
-def _check_eigenmode_solve(b, k, approx, threads, fault):
+def _check_eigenmode_solve(b, k, approx, threads):
     worst = 0.0
     for n in (8, 16):
         spec = GridSpec(n, 2.0, b, k)
         config = SolverConfig((spec,), approx)
-        plan = _make_plan(config, threads, fault)
+        plan = SolverPlan(config, threads=threads)
         table = eigenvalue_table(spec, approx)
         for kk in (1, n // 2, n - 1):
-            lam = table.values[kk]
+            lam = table[kk]
             if lam == 0.0:
                 continue
             v = basis_vector(spec, kk)
@@ -175,12 +160,12 @@ def _check_eigenmode_solve(b, k, approx, threads, fault):
                    {"worst_relative_error": worst})
 
 
-def _check_dense_oracle(b, k, rng, threads, fault):
+def _check_dense_oracle(b, k, rng, threads):
     worst = 0.0
     for shape in ((7,), (6, 5)):
         grids = tuple(GridSpec(n, 1.0 + 0.25 * i, b, k) for i, n in enumerate(shape))
         config = SolverConfig(grids, Approximation.FINITE_DIFFERENCE_2)
-        plan = _make_plan(config, threads, fault)
+        plan = SolverPlan(config, threads=threads)
         mat = laplacian_matrix(config)
         rhs = (mat @ rng.standard_normal(shape).ravel()).reshape(shape)
         sol, _ = plan.solve(rhs)

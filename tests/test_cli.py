@@ -7,10 +7,11 @@ import re
 import numpy as np
 import pytest
 
-from fastpoisson import cli
+from fastpoisson import cli, verifysuite
 from fastpoisson.cli import main
 from fastpoisson.fieldio import read_field, write_field
 from fastpoisson.grid import BoundaryCondition as BC, GridKind as GK, GridSpec
+from fastpoisson.solver import SolverPlan
 
 from conftest import ROWS
 
@@ -66,13 +67,6 @@ def test_solve_singular_reports_removed_mean(tmp_path, rng):
     assert main(["solve", "--in", str(header), "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
     assert report["removed_mean"] == pytest.approx(rhs.mean(), rel=1e-12)
-
-
-def test_solve_flag_header_mismatch_exits_2(rhs_file, tmp_path, capsys):
-    code = main(["solve", "--in", str(rhs_file), "--size", "8,8", "--out", str(tmp_path / "x")])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "(8, 8)" in err and "(12, 10)" in err
 
 
 @pytest.mark.parametrize("flags,in_header,expected", [
@@ -151,9 +145,21 @@ def test_verify_covers_all_rows_and_approximations(tmp_path):
     assert summary["num_failed"] == 0
 
 
-def test_verify_fault_injection_fails(tmp_path):
+class _FaultyPlan(SolverPlan):
+    """A plan whose largest-magnitude eigenvalue is off by a factor 1 + 1e-6:
+    it owns the smallest non-zero entry of the inverse-eigenvalue array."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        inv = self._inv_lam
+        magnitude = np.where(inv != 0.0, np.abs(inv), np.inf)
+        inv[np.unravel_index(np.argmin(magnitude), inv.shape)] /= 1.0 + 1e-6
+
+
+def test_verify_fault_injection_fails(tmp_path, monkeypatch):
+    monkeypatch.setattr(verifysuite, "SolverPlan", _FaultyPlan)
     out = tmp_path / "verify.json"
-    code = main(["verify", "--inject-eigenvalue-fault", "--out", str(out)])
+    code = main(["verify", "--out", str(out)])
     assert code == 1
     summary = json.loads(out.read_text())
     # the perturbed eigenvalue must show in every row's solver checks
@@ -174,7 +180,9 @@ def test_verify_fault_injection_fails(tmp_path):
     (["bench", "--sizes", "8", "--dims", "1", "--format-version", "2"], 2, "'bench'"),
     (["verify", "--seed", "-1"], 2, "--seed"),
     (["verify", "--threads", "-3"], 2, "threads must be at least 1"),
-    (["solve", "--in", "rhs.json", "--format-version", "2"], 2, "format version 2"),
+    (["verify", "--inject-eigenvalue-fault"], 2, "unrecognized arguments"),
+    (["solve", "--in", "rhs.json", "--format-version", "1"], 2, "unrecognized arguments"),
+    (["solve", "--in", "rhs.json", "--size", "8,8"], 2, "unrecognized arguments"),
     (["solve", "--in", "no-such-dir/rhs.json"], 3, "rhs.json"),
     (["solve", "--in", "rhs.json", "--seed", "1"], 2, "unrecognized arguments"),
     (["solve", "--in", "rhs.json", "--threads", "0"], 2, "threads must be at least 1"),
@@ -188,12 +196,18 @@ def test_verify_fault_injection_fails(tmp_path):
     (["demo-flow", "--steps", "2", "--snapshot-every", "-1"], 2, "--snapshot-every"),
     (["demo-flow", "--steps", "2", "--threads", "2"], 2, "unrecognized arguments"),
     (["demo-flow", "--steps", "2", "--seed", "1"], 2, "unrecognized arguments"),
+    (["demo-flow", "--case", "taylor-green", "--length", "2,2", "--steps", "2"], 2, "--length"),
+    (["demo-flow", "--forcing", "0.5", "--steps", "2"], 2, "--forcing"),
+    (["demo-flow", "--case", "channel", "--cells", "8,6", "--forcing", "nan", "--steps", "2"],
+     2, "--forcing"),
 ], ids=["bench-sizes-not-int", "bench-sizes-zero", "bench-reps-zero", "bench-seed-negative",
         "bench-size-flag", "bench-format-version-flag", "verify-seed-negative", "verify-threads-negative",
-        "solve-format-version", "solve-missing-input", "solve-seed-flag", "solve-threads-zero",
+        "verify-inject-fault-flag", "solve-format-version", "solve-size-flag", "solve-missing-input",
+        "solve-seed-flag", "solve-threads-zero",
         "flow-dt-zero", "flow-dt-negative", "flow-dt-inf", "flow-nu-negative", "flow-nu-nan",
         "flow-cells-not-int", "flow-steps-negative", "flow-snapshot-every-negative",
-        "flow-threads-flag", "flow-seed-flag"])
+        "flow-threads-flag", "flow-seed-flag", "flow-tg-length", "flow-tg-forcing",
+        "flow-forcing-nan"])
 def test_bad_flag_exits_2_with_message(args, code, message, tmp_path, monkeypatch, capsys):
     """Bad input exits with its documented code and a message, never a
     traceback; argparse's own rejections exit 2 through ``SystemExit``.

@@ -102,8 +102,11 @@ def test_unsupported_dtype_rejected(tmp_path):
     {"extents": [16.0]},
     {"grids": [1]},
     {"grids": "x"},
+    {"extents": [2**62 + 4, 4], "dims": 2},  # the product wraps to 16 in int64
+    {"precision": ["double"]},
 ], ids=["absolute-payload", "parent-payload", "nested-parent-payload", "negative-extents",
-        "string-extents", "float-extent", "grid-entry-not-object", "grids-not-list"])
+        "string-extents", "float-extent", "grid-entry-not-object", "grids-not-list",
+        "extents-overflow", "precision-not-string"])
 def test_unsafe_or_malformed_header_rejected(update, tmp_path):
     outside = tmp_path / "outside.bin"
     outside.write_bytes(np.zeros(16).tobytes())
@@ -115,4 +118,16 @@ def test_unsafe_or_malformed_header_rejected(update, tmp_path):
     with pytest.raises(FieldFormatError):
         read_field(header_path)
     # the CLI maps it to the documented I/O and format exit code
+    assert main(["solve", "--in", str(header_path), "--out", str(tmp_path / "run")]) == 3
+
+
+@pytest.mark.parametrize("text", [
+    "5",
+    json.dumps(["format_version", "dims", "extents", "precision", "byte_order", "payload"]),
+], ids=["header-not-object-number", "header-not-object-key-list"])
+def test_header_not_object_rejected(text, tmp_path):
+    header_path = write_field(tmp_path / "f", np.zeros(16))
+    header_path.write_text(text)
+    with pytest.raises(FieldFormatError):
+        read_field(header_path)
     assert main(["solve", "--in", str(header_path), "--out", str(tmp_path / "run")]) == 3

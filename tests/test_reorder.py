@@ -3,6 +3,7 @@ import time
 import numpy as np
 import pytest
 
+from fastpoisson import reorder
 from fastpoisson.reorder import ReorderPlan, gather_lines, make_buffer, scatter_lines
 
 
@@ -31,11 +32,27 @@ def test_gather_scatter_identity(shape, axis, rng):
 
 
 @pytest.mark.parametrize("tile", [1, 4, 16, 64])
-def test_tile_size_does_not_change_result(tile, rng):
+def test_tile_size_does_not_change_result(tile, rng, monkeypatch):
+    # the tile is a module constant now; patch it to exercise other block edges
+    monkeypatch.setattr(reorder, "_TILE", tile)
     shape = (9, 13, 11)
     field = rng.standard_normal(shape)
     reference = np.moveaxis(field, 1, -1).reshape(-1, 13)
-    plan = ReorderPlan(shape, 1, tile=tile)
+    plan = ReorderPlan(shape, 1)
+    buf = make_buffer(plan)
+    gather_lines(plan, field, buf)
+    np.testing.assert_array_equal(buf, reference)
+    field[...] = 0.0
+    scatter_lines(plan, buf, field)
+    np.testing.assert_array_equal(np.moveaxis(field, 1, -1).reshape(-1, 13), reference)
+
+
+def test_gather_layout_across_partial_tiles(rng):
+    # 3 * 70 lines of 150: several 64-wide blocks, the last ones partial
+    shape = (3, 150, 70)
+    field = rng.standard_normal(shape)
+    reference = np.moveaxis(field, 1, -1).reshape(-1, 150)
+    plan = ReorderPlan(shape, 1)
     buf = make_buffer(plan)
     gather_lines(plan, field, buf)
     np.testing.assert_array_equal(buf, reference)
@@ -63,8 +80,6 @@ def test_shape_validation():
 
 
 def test_bad_plan_parameters():
-    with pytest.raises(ValueError):
-        ReorderPlan((4, 5), 0, tile=0)
     with pytest.raises(ValueError):
         ReorderPlan((2, 2, 2, 2), 0)
 

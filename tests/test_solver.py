@@ -1,5 +1,4 @@
 import dataclasses
-import itertools
 import json
 import math
 import sys
@@ -101,10 +100,12 @@ def test_plan_create_populates_tables():
     config = uniform_config(BC.PERIODIC, GK.REGULAR, (4, 4, 4), AP.PSEUDO_SPECTRAL)
     plan = SolverPlan(config)
     assert plan.mode == "uniform"
-    assert len(plan.tables) == 3
-    np.testing.assert_allclose(
-        plan.tables[0].values, spectral_eigenvalues(config.grids[0]).values
-    )
+    # the inverse eigenvalues on the half spectrum of the last periodic axis,
+    # with the one null mode at the origin set to zero
+    assert plan._inv_lam.shape == (4, 4, 3)
+    lam = spectral_eigenvalues(config.grids[0])
+    np.testing.assert_allclose(plan._inv_lam[1:, 0, 0], 1.0 / lam[1:], rtol=1e-15)
+    assert plan._inv_lam[0, 0, 0] == 0.0 and np.count_nonzero(plan._inv_lam == 0.0) == 1
 
 
 # -- solve basics ----------------------------------------------------------------
@@ -123,7 +124,7 @@ def test_solve_eigenvector_in_eigenvector_out(approx):
     spec = GridSpec(8, 1.0, BC.DIRICHLET, GK.REGULAR)
     config = SolverConfig((spec,), approx)
     plan = SolverPlan(config)
-    lam = eigenvalue_table(spec, approx).values[2]
+    lam = eigenvalue_table(spec, approx)[2]
     v = basis_vector(spec, 2)
     sol, _ = plan.solve(lam * v)
     assert np.abs(sol - v).max() <= 1e-12
@@ -358,8 +359,8 @@ def test_mixed_product_mode(zrow, approx):
     gx = GridSpec(8, 2.0, BC.PERIODIC, GK.REGULAR)
     gz = GridSpec(6, 1.0, zbc, zkind)
     plan = SolverPlan(SolverConfig((gx, gz), approx))
-    lx = eigenvalue_table(gx, approx).values
-    lz = eigenvalue_table(gz, approx).values
+    lx = eigenvalue_table(gx, approx)
+    lz = eigenvalue_table(gz, approx)
     kx, kz = 2, 3
     vx = np.cos(2 * np.pi * kx * np.arange(8) / 8)
     vz = basis_vector(gz, kz)
@@ -440,7 +441,7 @@ def test_laplacian_requires_fd2():
 def test_laplacian_eigenvector():
     spec = GridSpec(9, 1.0, BC.DIRICHLET, GK.STAGGERED)
     config = SolverConfig((spec,), AP.FINITE_DIFFERENCE_2)
-    lam = eigenvalue_table(spec, AP.FINITE_DIFFERENCE_2).values[4]
+    lam = eigenvalue_table(spec, AP.FINITE_DIFFERENCE_2)[4]
     v = basis_vector(spec, 4)
     np.testing.assert_allclose(
         apply_discrete_laplacian(config, v), lam * v, atol=1e-11 * abs(lam)
@@ -637,37 +638,38 @@ def test_property_matches_dense_oracle_in_both_precisions(config, seed):
 def dense_inverse_eigenvalues(config):
     """The inverse-eigenvalue array built the direct way: the per-axis sums
     over the whole grid, starting from zeros, then the half spectrum of the
-    last periodic axis, divided into a zeroed array and cast to the plan's
-    precision; and the null modes from the whole tables."""
+    last periodic axis, divided into a zeroed array except at the null mode
+    of a singular grid, and cast to the plan's precision."""
     tables = [eigenvalue_table(g, config.approximation) for g in config.grids]
     lam = np.zeros(config.shape)
     for ax, table in enumerate(tables):
-        lam += table.values.reshape([-1 if a == ax else 1 for a in range(config.dims)])
+        lam += table.reshape([-1 if a == ax else 1 for a in range(config.dims)])
     dense = lam.copy()
     if config.periodic_axes:
         half = config.periodic_axes[-1]
         lam = lam[(slice(None),) * half + (slice(0, config.shape[half] // 2 + 1),)]
     scale = math.prod(transform_pair_for(g.bc, g.kind).backward_scale(g.n) for g in config.grids)
+    divide = np.ones(lam.shape, dtype=bool)
+    if config.singular:
+        divide[(0,) * config.dims] = False
     inv = np.zeros_like(lam)
-    np.divide(scale, lam, out=inv, where=lam != 0.0)
-    null_modes = ()
-    if all(t.null_indices for t in tables):
-        null_modes = tuple(itertools.product(*(sorted(t.null_indices) for t in tables)))
-    return dense, inv.astype(config.dtype, copy=False), null_modes
+    np.divide(scale, lam, out=inv, where=divide)
+    return dense, inv.astype(config.dtype, copy=False)
 
 
 @settings(max_examples=150, deadline=None)
 @given(config=fd2_configs(approximations=tuple(AP), precisions=("double", "single")))
 def test_property_inverse_eigenvalues_byte_identical_to_dense_build(config):
-    dense, expected, null_modes = dense_inverse_eigenvalues(config)
+    dense, expected = dense_inverse_eigenvalues(config)
+    # the operator vanishes only at the origin, and only on a singular grid
+    assert np.flatnonzero(dense == 0.0).tolist() == ([0] if config.singular else [])
     plan = SolverPlan(config)
     inv = plan._inv_lam
     assert (inv.dtype, inv.shape) == (expected.dtype, expected.shape)
     assert np.array_equal(inv.view(np.uint8), expected.view(np.uint8))
-    assert plan.null_modes == null_modes
-    combined = combine_eigenvalues(plan.tables)
-    assert combined.values.shape == dense.shape and np.all(combined.values == dense)
-    assert combined.null_modes == null_modes
+    combined = combine_eigenvalues([eigenvalue_table(g, config.approximation)
+                                    for g in config.grids])
+    assert combined.shape == dense.shape and np.all(combined == dense)
 
 
 @pytest.mark.parametrize("grids", [
