@@ -90,9 +90,9 @@ def build_parser() -> argparse.ArgumentParser:
     ps.set_defaults(func=cmd_solve)
 
     pv = sub.add_parser("verify", allow_abbrev=False, help="run the verification suites")
-    pv.add_argument("--bc", help="restrict to one boundary condition")
-    pv.add_argument("--grid", help="restrict to one grid kind")
-    pv.add_argument("--approx", help="restrict to one approximation")
+    pv.add_argument("--bc", choices=sorted(_BC), help="restrict to one boundary condition")
+    pv.add_argument("--grid", choices=sorted(_KIND), help="restrict to one grid kind")
+    pv.add_argument("--approx", choices=sorted(_APPROX), help="restrict to one approximation")
     pv.add_argument("--seed", type=int, default=0)
     pv.add_argument("--threads", type=int, default=1)
     pv.add_argument("--out", help="write the JSON summary here (default: stdout)")
@@ -125,13 +125,6 @@ def _split(text, count, convert, what):
     if len(values) != count:
         raise ConfigurationError(f"{what}: expected {count} entries, got {len(values)} in {text!r}")
     return values
-
-
-def _int_list(text, what):
-    try:
-        return [int(s) for s in str(text).split(",") if s.strip()]
-    except ValueError:
-        raise ConfigurationError(f"cannot parse {what} list {text!r}") from None
 
 
 def _grids_from_flags(args, dims, sizes, header):
@@ -210,10 +203,6 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    for flag, value, table in (("bc", args.bc, _BC), ("grid", args.grid, _KIND),
-                               ("approx", args.approx, _APPROX)):
-        if value and value not in table:
-            raise ConfigurationError(f"unknown {flag} {value!r}; expected one of {sorted(table)}")
     if args.seed < 0:
         raise ConfigurationError(f"--seed must be non-negative, got {args.seed}")
     bc = _BC[args.bc] if args.bc else None
@@ -255,10 +244,8 @@ def cmd_demo_flow(args) -> int:
         raise ConfigurationError(f"--dt must be finite and positive, got {args.dt}")
     if args.steps < 0 or args.snapshot_every < 0:
         raise ConfigurationError("--steps and --snapshot-every must be non-negative")
-    cells = _int_list(args.cells, "cells")
-    if len(cells) == 1:
-        cells = cells * 2
-    if len(cells) != 2 or any(c < 2 for c in cells):
+    cells = _split(args.cells, 2, int, "cells")
+    if any(c < 2 for c in cells):
         raise ConfigurationError(f"demo runs on a 2D grid with >= 2 cells per axis, got {args.cells!r}")
     if args.case == "taylor-green":
         for flag, value in (("--length", args.length), ("--forcing", args.forcing)):

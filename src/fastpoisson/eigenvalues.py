@@ -32,12 +32,10 @@ from __future__ import annotations
 import numpy as np
 
 from .grid import Approximation, BoundaryCondition, GridKind, GridSpec
-from .transforms import transform_pair_for
 
 
 def spectral_eigenvalues(spec: GridSpec) -> np.ndarray:
     """Pseudo-spectral eigenvalues of one axis (units 1/length^2), float64."""
-    transform_pair_for(spec.bc, spec.kind)  # reject unsupported rows
     k = np.arange(spec.n, dtype=np.float64)
     if spec.bc is BoundaryCondition.PERIODIC:
         folded = np.minimum(k, spec.n - k)
@@ -49,7 +47,6 @@ def spectral_eigenvalues(spec: GridSpec) -> np.ndarray:
 
 def fd2_eigenvalues(spec: GridSpec) -> np.ndarray:
     """Second-order central-difference eigenvalues of one axis, float64."""
-    transform_pair_for(spec.bc, spec.kind)
     k = np.arange(spec.n, dtype=np.float64)
     n, dx = spec.n, spec.dx
     if spec.bc is BoundaryCondition.PERIODIC:

@@ -42,33 +42,12 @@ from .grid import Approximation, BoundaryCondition, GridKind, GridSpec
 from .solver import SolverConfig, SolverPlan
 
 
-@dataclass(frozen=True)
-class RK3Coefficients:
-    """Stage weights of the three-stage scheme; must satisfy
-    sum(alpha) == 1 and gamma_k + zeta_k == alpha_k exactly."""
-
-    alpha: tuple
-    gamma: tuple
-    zeta: tuple
-
-    def __post_init__(self):
-        if not (len(self.alpha) == len(self.gamma) == len(self.zeta) == 3):
-            raise ValueError("three stages expected")
-        if sum(self.alpha) != 1:
-            raise ValueError(f"stage fractions must sum to 1, got {sum(self.alpha)}")
-        for k in range(3):
-            if self.gamma[k] + self.zeta[k] != self.alpha[k]:
-                raise ValueError(
-                    f"stage {k}: gamma + zeta = {self.gamma[k] + self.zeta[k]} != alpha = {self.alpha[k]}"
-                )
-
-    @classmethod
-    def standard(cls) -> "RK3Coefficients":
-        return cls(
-            alpha=(Fraction(8, 15), Fraction(2, 15), Fraction(1, 3)),
-            gamma=(Fraction(8, 15), Fraction(5, 12), Fraction(3, 4)),
-            zeta=(Fraction(0), Fraction(-17, 60), Fraction(-5, 12)),
-        )
+# stage weights of the three-stage scheme, exact: sum(ALPHA) == 1 and
+# GAMMA[k] + ZETA[k] == ALPHA[k]; the steps use their floats
+RK3_ALPHA = (Fraction(8, 15), Fraction(2, 15), Fraction(1, 3))
+RK3_GAMMA = (Fraction(8, 15), Fraction(5, 12), Fraction(3, 4))
+RK3_ZETA = (Fraction(0), Fraction(-17, 60), Fraction(-5, 12))
+_ALPHA, _GAMMA, _ZETA = (tuple(map(float, w)) for w in (RK3_ALPHA, RK3_GAMMA, RK3_ZETA))
 
 
 @dataclass
@@ -112,14 +91,13 @@ class StaggeredVelocity:
 
 @dataclass
 class PressureField:
-    """Cell-centered pressure (divided by density) and the last stage correction."""
+    """Cell-centered pressure (divided by density)."""
 
     p: np.ndarray
-    phi: np.ndarray = None
 
     @classmethod
     def zeros(cls, cells) -> "PressureField":
-        return cls(np.zeros(cells), np.zeros(cells))
+        return cls(np.zeros(cells))
 
 
 def _new(a, shape=None):
@@ -319,13 +297,9 @@ class ProjectionFlow:
     ``forcing`` is an optional constant body force per unit mass, (fx, fz).
     """
 
-    def __init__(self, velocity: StaggeredVelocity, pressure: PressureField = None,
-                 coefficients: RK3Coefficients = None, forcing=(0.0, 0.0), threads: int = 1):
+    def __init__(self, velocity: StaggeredVelocity, forcing=(0.0, 0.0), threads: int = 1):
         self.velocity = velocity
-        self.pressure = pressure if pressure is not None else PressureField.zeros(velocity.cells)
-        if self.pressure.p.shape != velocity.cells:
-            raise ValueError("pressure extents must match the cell grid")
-        self.coefficients = coefficients if coefficients is not None else RK3Coefficients.standard()
+        self.pressure = PressureField.zeros(velocity.cells)
         self.forcing = (float(forcing[0]), float(forcing[1]))
         self.time = 0.0
         self.step_count = 0
@@ -351,9 +325,6 @@ class ProjectionFlow:
         if not dt > 0:
             raise ValueError(f"time step must be positive, got {dt}")
         vel, pres = self.velocity, self.pressure
-        alpha = [float(a) for a in self.coefficients.alpha]
-        gamma = [float(g) for g in self.coefficients.gamma]
-        zeta = [float(z) for z in self.coefficients.zeta]
         fx, fz = self.forcing
 
         poisson_seconds = 0.0
@@ -378,13 +349,13 @@ class ProjectionFlow:
             # evaluated in place in fresh arrays in that order of operations
             ustar, wstar = gradient(vel, pres.p)
             for pred, h, buf, old in ((ustar, hu, vu, vel.u), (wstar, hw, vw, vel.w)):
-                pred *= -alpha[k]
-                pred += np.multiply(h, gamma[k], out=buf)
+                pred *= -_ALPHA[k]
+                pred += np.multiply(h, _GAMMA[k], out=buf)
                 pred *= dt
                 pred += old
-            if zeta[k] != 0.0:
-                prev_hu *= dt * zeta[k]
-                prev_hw *= dt * zeta[k]
+            if _ZETA[k] != 0.0:
+                prev_hu *= dt * _ZETA[k]
+                prev_hw *= dt * _ZETA[k]
                 ustar += prev_hu
                 wstar += prev_hw
             prev_hu, prev_hw = hu, hw
@@ -395,18 +366,17 @@ class ProjectionFlow:
                 )
             star = StaggeredVelocity(ustar, wstar, vel.lengths, vel.nu, vel.z_walls)
             rhs = divergence(star)
-            rhs /= alpha[k] * dt
+            rhs /= _ALPHA[k] * dt
             phi, report = self.poisson.solve(rhs)
             poisson_seconds += sum(report.timing.values())
             gfx, gfz = gradient(vel, phi)
-            gfx *= alpha[k] * dt
-            gfz *= alpha[k] * dt
+            gfx *= _ALPHA[k] * dt
+            gfz *= _ALPHA[k] * dt
             ustar -= gfx
             wstar -= gfz
             # new arrays each stage: arrays a caller holds are never written
             vel.u, vel.w = ustar, wstar
             pres.p = pres.p + phi
-            pres.phi = phi
 
             if not (np.isfinite(vel.u).all() and np.isfinite(vel.w).all()):
                 raise FloatingPointError(

@@ -61,8 +61,8 @@ from .transforms import (
 _PRECISION_DTYPES = {"double": np.float64, "single": np.float32}
 
 # forward transform of the all-ones line, evaluated at the null index; used to
-# convert the removed null coefficient back into a mean value (the solver's
-# forward DFT is the unnormalized fftn)
+# convert the removed null coefficient back into a mean value (the periodic
+# forward leg is rfftn, unnormalized, as is the DFT in transforms.py)
 _ONES_NULL_COEFF = {
     TransformKind.DFT: lambda n: float(n),
     TransformKind.DCT1: lambda n: 2.0 * (n - 1),
@@ -252,10 +252,6 @@ class SolverPlan:
                 for g, pair in zip(config.grids, self._pairs)
             )
 
-    @property
-    def mode(self) -> str:
-        return self.config.mode
-
     def describe(self) -> PlanDescription:
         """Per axis: row, transform pair, FFT length and its largest prime
         factor, and the method; plus the working dtype, the workspace and the
@@ -297,10 +293,6 @@ class SolverPlan:
             matrix_temporary=temporary_bytes,
         )
 
-    @property
-    def singular(self) -> bool:
-        return self.config.singular
-
     def solve(self, rhs, out=None):
         """Solve the discrete Poisson problem for ``rhs``.
 
@@ -324,7 +316,7 @@ class SolverPlan:
                     f"solution extents {out_arr.shape} do not match plan extents {self.shape}"
                 )
 
-        report = SolveReport(mode=self.mode, periodic_axes=self._periodic_axes)
+        report = SolveReport(mode=self.config.mode, periodic_axes=self._periodic_axes)
         # the one working copy; every pass below rebinds ``work`` in this frame
         # so that the array it replaces is freed as soon as the pass returns
         work = np.array(rhs_arr, dtype=self.dtype, copy=True, order="C")
@@ -335,7 +327,7 @@ class SolverPlan:
         if self._periodic_axes:
             work = _sfft.rfftn(work, axes=self._periodic_axes, workers=self.threads)
         t1 = time.perf_counter()
-        if self.singular:
+        if self.config.singular:
             coeff = work[(0,) * work.ndim]
             report.removed_mean = float(np.real(coeff)) / self._null_scale
         work *= self._inv_lam
@@ -345,7 +337,7 @@ class SolverPlan:
                                 overwrite_x=True, workers=self.threads)
         for ax in reversed(self._real_axes):
             work = self._real_transform(work, ax, forward=False)
-        if self.singular:
+        if self.config.singular:
             work -= work.mean()
         t3 = time.perf_counter()
 

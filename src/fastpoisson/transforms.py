@@ -9,10 +9,14 @@ The forward transforms are the plain (unnormalized) sums
     DCT-II   f^_k = 2 sum_{j=0}^{n-1} f_j cos(pi (j+1/2) k/n)
     DCT-III  f^_k = f_0 + 2 sum_{j=1}^{n-1} f_j cos(pi j (k+1/2)/n)
 
-while the complex DFT carries 1/n on the forward leg,
+and so is the periodic row's DFT, whose inverse carries the 1/n,
 
-    DFT      f^_k = (1/n) sum_j f_j exp(-2 pi i k j/n)
-    IDFT     f_j  =       sum_k f^_k exp(+2 pi i k j/n)
+    DFT      f^_k =       sum_j f_j  exp(-2 pi i k j/n)
+    IDFT     f_j  = (1/n) sum_k f^_k exp(+2 pi i k j/n)
+
+the convention of ``scipy.fft.rfftn``/``irfftn``, which the solver runs on
+its periodic axes directly (a real input keeps the Hermitian half of the
+spectrum).
 
 Each boundary-condition/grid row selects a (forward, backward) pair whose
 backward leg is scaled so that backward(forward(f)) == f:
@@ -27,8 +31,9 @@ backward leg is scaled so that backward(forward(f)) == f:
     Neumann     staggered  DCT-II    DCT-III/ (2n)
     ==========  =========  ========  =====================
 
-Fast execution is delegated to ``scipy.fft`` (pocketfft), whose unnormalized
-real transforms implement exactly the sums above for arbitrary lengths,
+A :class:`TransformPlan` runs the six real kinds.  Fast execution is
+delegated to ``scipy.fft`` (pocketfft), whose unnormalized real transforms
+implement exactly the sums above for arbitrary lengths,
 including primes.  pocketfft keeps an internal cache of twiddle/factorization
 plans per length, so repeated execution does not replan.
 
@@ -92,10 +97,6 @@ class TransformKind(Enum):
     DCT1 = "dct1"
     DCT2 = "dct2"
     DCT3 = "dct3"
-
-    @property
-    def is_complex(self) -> bool:
-        return self in (TransformKind.DFT, TransformKind.IDFT)
 
 
 # minimum length at which each kind is defined (DCT-I divides by n-1)
@@ -187,7 +188,8 @@ def transform_pair_for(bc: BoundaryCondition, grid: GridKind) -> TransformPair:
 
 @dataclass(frozen=True)
 class TransformPlan:
-    """Precomputed 1D transform of a fixed kind and length along one axis.
+    """Precomputed 1D real transform (one of the six DST/DCT kinds) of a
+    fixed length along one axis.
 
     Executes on lines of exactly length ``n`` along ``axis``; arrays with
     more dimensions are transformed line-by-line (vectorized over the other
@@ -206,14 +208,17 @@ class TransformPlan:
     _matrices: MappingProxyType = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.kind not in _REAL_DISPATCH:
+            raise ConfigurationError(
+                f"{self.kind.value} has no plan: periodic axes go through scipy.fft.rfftn/irfftn"
+            )
         if self.n < _MIN_LENGTH.get(self.kind, 1):
             raise ConfigurationError(
                 f"{self.kind.value} requires n >= {_MIN_LENGTH[self.kind]}, got n={self.n}"
             )
         # pocketfft costs about L * (sum of L's prime factors) per line, the product n^2
         fft_cost = self.fft_length * sum(_prime_factors(self.fft_length))
-        use_matrix = (not self.kind.is_complex and self.n <= _MATRIX_MAX_N
-                      and 5 * fft_cost >= self.n ** 2)
+        use_matrix = self.n <= _MATRIX_MAX_N and 5 * fft_cost >= self.n ** 2
         object.__setattr__(self, "method", "matrix" if use_matrix else "fft")
         object.__setattr__(self, "_matrices",
                            _transform_matrices(self.kind, self.n) if use_matrix else _NO_MATRICES)
@@ -227,15 +232,6 @@ class TransformPlan:
             return 2 * (self.n - 1)
         return self.n
 
-    def _check(self, line: np.ndarray) -> np.ndarray:
-        line = np.asarray(line)
-        if line.shape[self.axis] != self.n:
-            raise ValueError(
-                f"plan expects length {self.n} along axis {self.axis}, "
-                f"got shape {line.shape}"
-            )
-        return line
-
     def execute_real(self, line: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
         """Apply a real (DST/DCT) transform; output has the input's shape.
 
@@ -244,9 +240,12 @@ class TransformPlan:
         matrix method's small temporary is allocated); the caller must own
         ``line`` and use the returned array.
         """
-        if self.kind.is_complex:
-            raise ValueError(f"{self.kind.value} is a complex transform; use execute_complex")
-        line = self._check(line)
+        line = np.asarray(line)
+        if line.shape[self.axis] != self.n:
+            raise ValueError(
+                f"plan expects length {self.n} along axis {self.axis}, "
+                f"got shape {line.shape}"
+            )
         matrix = self._matrices.get(line.dtype)
         if matrix is None:
             func, typ = _REAL_DISPATCH[self.kind]
@@ -265,15 +264,6 @@ class TransformPlan:
         if dtype not in self._matrices or math.prod(shape) == 0:
             return 0
         return math.prod(_chunk_shape(*_split_at(tuple(shape), self.axis))) * dtype.itemsize
-
-    def execute_complex(self, line: np.ndarray) -> np.ndarray:
-        """Apply the DFT (forward, scaled by 1/n) or IDFT (unscaled)."""
-        if not self.kind.is_complex:
-            raise ValueError(f"{self.kind.value} is a real transform; use execute_real")
-        line = self._check(line)
-        if self.kind is TransformKind.DFT:
-            return _sfft.fft(line, axis=self.axis, workers=self.workers or None) / self.n
-        return _sfft.ifft(line, axis=self.axis, workers=self.workers or None) * self.n
 
 
 _NO_MATRICES = MappingProxyType({})
@@ -355,10 +345,10 @@ def naive_transform(kind: TransformKind, line) -> np.ndarray:
     k = j[:, None]  # rows index output entries
 
     if kind is TransformKind.DFT:
-        m = np.exp(-2j * np.pi * k * j / n) / n
+        m = np.exp(-2j * np.pi * k * j / n)
         return m @ line.astype(np.complex128)
     if kind is TransformKind.IDFT:
-        m = np.exp(+2j * np.pi * k * j / n)
+        m = np.exp(+2j * np.pi * k * j / n) / n
         return m @ line.astype(np.complex128)
 
     if kind is TransformKind.DST1:

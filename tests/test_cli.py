@@ -123,15 +123,6 @@ def test_verify_filtered_run(tmp_path):
     assert rows == {("dirichlet", "staggered")}
 
 
-@pytest.mark.parametrize("flag", ["--bc", "--grid", "--approx"])
-def test_verify_unknown_filter_exits_2(flag, tmp_path, capsys):
-    code = main(["verify", flag, "foo", "--out", str(tmp_path / "verify.json")])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "'foo'" in err and "Traceback" not in err
-    assert not (tmp_path / "verify.json").exists()
-
-
 def test_verify_covers_all_rows_and_approximations(tmp_path):
     out = tmp_path / "verify.json"
     assert main(["verify", "--out", str(out)]) == 0
@@ -178,6 +169,9 @@ def test_verify_fault_injection_fails(tmp_path, monkeypatch):
     (["bench", "--sizes", "8", "--dims", "1", "--seed", "-2"], 2, "'bench'"),
     (["bench", "--sizes", "8", "--dims", "1", "--size", "8"], 2, "'bench'"),
     (["bench", "--sizes", "8", "--dims", "1", "--format-version", "2"], 2, "'bench'"),
+    (["verify", "--bc", "foo"], 2, "'foo'"),
+    (["verify", "--grid", "foo"], 2, "'foo'"),
+    (["verify", "--approx", "foo"], 2, "'foo'"),
     (["verify", "--seed", "-1"], 2, "--seed"),
     (["verify", "--threads", "-3"], 2, "threads must be at least 1"),
     (["verify", "--inject-eigenvalue-fault"], 2, "unrecognized arguments"),
@@ -192,6 +186,8 @@ def test_verify_fault_injection_fails(tmp_path, monkeypatch):
     (["demo-flow", "--nu", "-1", "--steps", "2"], 2, "--nu"),
     (["demo-flow", "--nu", "nan", "--steps", "2"], 2, "--nu"),
     (["demo-flow", "--cells", "8,y", "--steps", "2"], 2, "'8,y'"),
+    (["demo-flow", "--cells", "1", "--steps", "2"], 2, "'1'"),
+    (["demo-flow", "--cells", "8,8,8", "--steps", "2"], 2, "'8,8,8'"),
     (["demo-flow", "--steps", "-3"], 2, "--steps"),
     (["demo-flow", "--steps", "2", "--snapshot-every", "-1"], 2, "--snapshot-every"),
     (["demo-flow", "--steps", "2", "--threads", "2"], 2, "unrecognized arguments"),
@@ -201,11 +197,13 @@ def test_verify_fault_injection_fails(tmp_path, monkeypatch):
     (["demo-flow", "--case", "channel", "--cells", "8,6", "--forcing", "nan", "--steps", "2"],
      2, "--forcing"),
 ], ids=["bench-sizes-not-int", "bench-sizes-zero", "bench-reps-zero", "bench-seed-negative",
-        "bench-size-flag", "bench-format-version-flag", "verify-seed-negative", "verify-threads-negative",
+        "bench-size-flag", "bench-format-version-flag", "verify-bc-unknown", "verify-grid-unknown",
+        "verify-approx-unknown", "verify-seed-negative", "verify-threads-negative",
         "verify-inject-fault-flag", "solve-format-version", "solve-size-flag", "solve-missing-input",
         "solve-seed-flag", "solve-threads-zero",
         "flow-dt-zero", "flow-dt-negative", "flow-dt-inf", "flow-nu-negative", "flow-nu-nan",
-        "flow-cells-not-int", "flow-steps-negative", "flow-snapshot-every-negative",
+        "flow-cells-not-int", "flow-cells-one", "flow-cells-three",
+        "flow-steps-negative", "flow-snapshot-every-negative",
         "flow-threads-flag", "flow-seed-flag", "flow-tg-length", "flow-tg-forcing",
         "flow-forcing-nan"])
 def test_bad_flag_exits_2_with_message(args, code, message, tmp_path, monkeypatch, capsys):

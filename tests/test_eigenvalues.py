@@ -12,7 +12,6 @@ from fastpoisson.eigenvalues import (
 from fastpoisson.grid import (
     Approximation as AP,
     BoundaryCondition as BC,
-    ConfigurationError,
     GridKind as GK,
     GridSpec,
 )
@@ -166,15 +165,3 @@ def test_combine_rank_limits():
     with pytest.raises(ValueError):
         combine_eigenvalues([t] * 4)
 
-
-def test_unsupported_row_rejected():
-    # bypass GridSpec validation to hit the table-row guard directly
-    spec = GridSpec.__new__(GridSpec)
-    object.__setattr__(spec, "n", 4)
-    object.__setattr__(spec, "length", 1.0)
-    object.__setattr__(spec, "bc", BC.PERIODIC)
-    object.__setattr__(spec, "kind", GK.STAGGERED)
-    with pytest.raises(ConfigurationError):
-        spectral_eigenvalues(spec)
-    with pytest.raises(ConfigurationError):
-        fd2_eigenvalues(spec)

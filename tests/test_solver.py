@@ -8,6 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, given, settings, strategies as st
 
 from fastpoisson.eigenvalues import combine_eigenvalues, eigenvalue_table, spectral_eigenvalues
@@ -19,11 +20,12 @@ from fastpoisson.grid import (
     GridSpec,
 )
 from fastpoisson.solver import (
+    _ONES_NULL_COEFF,
     SolverConfig,
     SolverPlan,
     apply_discrete_laplacian,
 )
-from fastpoisson.transforms import transform_pair_for
+from fastpoisson.transforms import naive_transform, transform_pair_for
 from fastpoisson.verify import basis_vector, dense_oracle_solve, laplacian_matrix
 
 from conftest import ROWS, ROW_IDS
@@ -99,7 +101,7 @@ def test_config_precision_values():
 def test_plan_create_populates_tables():
     config = uniform_config(BC.PERIODIC, GK.REGULAR, (4, 4, 4), AP.PSEUDO_SPECTRAL)
     plan = SolverPlan(config)
-    assert plan.mode == "uniform"
+    assert plan.config.mode == "uniform"
     # the inverse eigenvalues on the half spectrum of the last periodic axis,
     # with the one null mode at the origin set to zero
     assert plan._inv_lam.shape == (4, 4, 3)
@@ -146,6 +148,16 @@ def test_constant_rhs_removed_mean(grids):
     sol, report = plan.solve(np.full(plan.shape, c))
     assert np.abs(sol).max() <= 1e-13
     assert report.removed_mean == pytest.approx(c, rel=1e-12)
+
+
+@pytest.mark.parametrize("bc,kind", [r for r in ROWS if r[0] is not BC.DIRICHLET],
+                         ids=[i for r, i in zip(ROWS, ROW_IDS) if r[0] is not BC.DIRICHLET])
+def test_null_coefficient_table_matches_oracle(bc, kind):
+    # the table that turns the null coefficient into the removed mean is the
+    # forward transform of the ones line at index 0, by the defining sums
+    forward = transform_pair_for(bc, kind).forward
+    for n in (2, 3, 8, 9):
+        assert _ONES_NULL_COEFF[forward](n) == naive_transform(forward, np.ones(n))[0], n
 
 
 def test_removed_mean_zero_with_dirichlet_axis():
@@ -613,8 +625,52 @@ def test_property_out_fresh_subblock_and_aliased_bit_identical(config, seed, off
     assert sol.base is shared and shared[1:].tobytes() == expected.tobytes()
 
 
+def spectral_operator_1d(spec):
+    """The pseudo-spectral operator of one axis as a dense matrix,
+    B diag(-kappa^2) B^-1: the columns of B are the sampled basis functions
+    (``verify.basis_vector``), and kappa is each one's wavenumber, on a
+    periodic axis the smallest one its samples alias to."""
+    k = np.arange(spec.n)
+    if spec.bc is BC.PERIODIC:
+        kappa = 2.0 * np.pi * np.minimum(k, spec.n - k) / spec.length
+    elif spec.bc is BC.DIRICHLET:
+        kappa = np.pi * (k + 1) / spec.length
+    else:
+        kappa = np.pi * k / spec.length
+    basis = np.column_stack([basis_vector(spec, j) for j in range(spec.n)])
+    return ((basis * -kappa ** 2) @ np.linalg.inv(basis)).real
+
+
+def dense_operator(config):
+    """The solver's operator as a dense matrix: the FD2 stencils, or the
+    Kronecker sum of the per-axis pseudo-spectral operators."""
+    if config.approximation is AP.FINITE_DIFFERENCE_2:
+        return laplacian_matrix(config)
+    total = np.zeros((math.prod(config.shape),) * 2)
+    for ax, g in enumerate(config.grids):
+        term = np.ones((1, 1))
+        for j, other in enumerate(config.grids):
+            term = np.kron(term, spectral_operator_1d(g) if j == ax else np.eye(other.n))
+        total += term
+    return total
+
+
+def dense_solve(mat, rhs, singular):
+    """Solve by factorization, with the null-mode policy of
+    ``verify.dense_oracle_solve``: on a singular grid the part of ``rhs``
+    along the left null vector is removed as a constant, and the solution
+    has zero mean."""
+    g = rhs.ravel()
+    if not singular:
+        return np.linalg.solve(mat, g).reshape(rhs.shape)
+    (w,) = scipy.linalg.null_space(mat.T).T
+    sol, *_ = np.linalg.lstsq(mat, g - (w @ g) / w.sum(), rcond=None)
+    return (sol - sol.mean()).reshape(rhs.shape)
+
+
 @settings(max_examples=60, deadline=None)
-@given(config=fd2_configs(precisions=("double", "single")), seed=st.integers(0, 2**32 - 1))
+@given(config=fd2_configs(approximations=tuple(AP), precisions=("double", "single")),
+       seed=st.integers(0, 2**32 - 1))
 def test_property_matches_dense_oracle_in_both_precisions(config, seed):
     # the oracle factorizes an N x N matrix; N <= 1000 keeps an example
     # within about a second
@@ -624,15 +680,33 @@ def test_property_matches_dense_oracle_in_both_precisions(config, seed):
     again, _ = SolverPlan(config, threads=2).solve(rhs)
     assert again.tobytes() == sol.tobytes()
 
-    ref = dense_oracle_solve(config, rhs)
+    mat = dense_operator(config)
+    ref = dense_solve(mat, rhs, config.singular)
     # condition number on the operator's range: a singular operator's one
     # null mode is projected out by both solvers
-    sigma = np.linalg.svd(laplacian_matrix(config), compute_uv=False)
+    sigma = np.linalg.svd(mat, compute_uv=False)
     if config.singular:
         sigma = sigma[:-1]
     cond = sigma[0] / sigma[-1] if sigma.size else 1.0
     tol = 64 * np.finfo(config.dtype).eps * cond * np.abs(ref).max()
     assert np.abs(sol - ref).max() <= tol
+
+
+@pytest.mark.parametrize("bc,kind", ROWS, ids=ROW_IDS)
+def test_dense_oracles_agree(bc, kind, rng):
+    # the dense spectral operator differentiates a sampled band-limited
+    # function exactly, and the dense solve reproduces verify's FD2 oracle
+    spec = GridSpec(9, 2.0, bc, kind)
+    wavenumber = (6.0 if bc is BC.PERIODIC else 3.0) * np.pi / spec.length
+    mode = np.sin if bc is BC.DIRICHLET else np.cos
+    f = mode(wavenumber * spec.points())
+    np.testing.assert_allclose(spectral_operator_1d(spec) @ f, -wavenumber ** 2 * f,
+                               rtol=0, atol=1e-12 * wavenumber ** 2)
+    config = SolverConfig((spec, GridSpec(4, 1.0, bc, kind)), AP.FINITE_DIFFERENCE_2)
+    rhs = rng.standard_normal(config.shape)
+    ref = dense_oracle_solve(config, rhs)
+    np.testing.assert_allclose(dense_solve(laplacian_matrix(config), rhs, config.singular), ref,
+                               rtol=0, atol=1e-12 * np.abs(ref).max())
 
 
 def dense_inverse_eigenvalues(config):

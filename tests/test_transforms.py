@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import fft as sfft
 
-from fastpoisson.grid import BoundaryCondition as BC, ConfigurationError, GridKind as GK
+from fastpoisson.grid import (
+    Approximation as AP,
+    BoundaryCondition as BC,
+    ConfigurationError,
+    GridKind as GK,
+    GridSpec,
+)
+from fastpoisson.solver import SolverConfig, SolverPlan
 from fastpoisson.transforms import (
     _MATRIX_CHUNK_LINES,
     TransformKind as TK,
@@ -90,21 +97,31 @@ def test_dct1_two_point():
 
 
 def test_dft_constant_vector():
-    out = TransformPlan(TK.DFT, 6).execute_complex(np.full(6, 3.0 + 0.0j))
-    assert out[0] == pytest.approx(3.0, abs=1e-14)
-    assert np.abs(out[1:]).max() <= 1e-14
+    # the periodic forward leg is unnormalized: the constant lands at k = 0, times n
+    f = np.full(6, 3.0)
+    for out in (naive_transform(TK.DFT, f), sfft.rfft(f)):
+        assert out[0] == pytest.approx(18.0, abs=1e-13)
+        assert np.abs(out[1:]).max() <= 1e-13
 
 
 def test_dft_two_point():
-    out = TransformPlan(TK.DFT, 2).execute_complex(np.array([1.0, 0.0], dtype=complex))
-    np.testing.assert_allclose(out, [0.5, 0.5], atol=1e-15)
+    f = np.array([1.0, 0.0])
+    np.testing.assert_allclose(naive_transform(TK.DFT, f), [1.0, 1.0], atol=1e-15)
+    np.testing.assert_allclose(sfft.rfft(f), [1.0, 1.0], atol=1e-15)
+    # the 1/n sits on the inverse
+    np.testing.assert_allclose(naive_transform(TK.IDFT, np.array([1.0, 1.0])), f, atol=1e-15)
 
 
 @pytest.mark.parametrize("n", [3, 4, 8])
 def test_idft_inverts_dft(n, rng):
     f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    back = TransformPlan(TK.IDFT, n).execute_complex(TransformPlan(TK.DFT, n).execute_complex(f))
+    back = naive_transform(TK.IDFT, naive_transform(TK.DFT, f))
     np.testing.assert_allclose(back, f, atol=1e-13 * n)
+    # rfft/irfft, the periodic legs of a solve, follow the same convention
+    real = f.real
+    spectrum = naive_transform(TK.DFT, real)
+    np.testing.assert_allclose(sfft.rfft(real), spectrum[: n // 2 + 1], atol=1e-13 * n)
+    np.testing.assert_allclose(sfft.irfft(spectrum[: n // 2 + 1], n), real, atol=1e-13 * n)
 
 
 # -- properties ---------------------------------------------------------------
@@ -115,10 +132,10 @@ def test_idft_inverts_dft(n, rng):
 def test_round_trip(bc, kind, n, rng):
     pair = transform_pair_for(bc, kind)
     f = rng.standard_normal(n)
-    fwd, bwd = TransformPlan(pair.forward, n), TransformPlan(pair.backward, n)
-    if pair.forward.is_complex:
-        back = bwd.execute_complex(fwd.execute_complex(f.astype(complex))).real
+    if pair.forward is TK.DFT:
+        back = sfft.irfft(sfft.rfft(f), n) * pair.backward_scale(n)
     else:
+        fwd, bwd = TransformPlan(pair.forward, n), TransformPlan(pair.backward, n)
         back = bwd.execute_real(fwd.execute_real(f)) * pair.backward_scale(n)
     assert np.abs(back - f).max() <= 1e-12 * n * np.abs(f).max()
 
@@ -139,13 +156,9 @@ def test_linearity(kind, rng):
     f = rng.standard_normal(n)
     g = rng.standard_normal(n)
     a, b = 1.3, -0.7
-    plan = TransformPlan(kind, n)
-    if kind.is_complex:
-        lhs = plan.execute_complex((a * f + b * g).astype(complex))
-        rhs = a * plan.execute_complex(f.astype(complex)) + b * plan.execute_complex(g.astype(complex))
-    else:
-        lhs = plan.execute_real(a * f + b * g)
-        rhs = a * plan.execute_real(f) + b * plan.execute_real(g)
+    transform = sfft.rfft if kind is TK.DFT else TransformPlan(kind, n).execute_real
+    lhs = transform(a * f + b * g)
+    rhs = a * transform(f) + b * transform(g)
     np.testing.assert_allclose(lhs, rhs, atol=1e-12 * n)
 
 
@@ -153,17 +166,15 @@ def test_linearity(kind, rng):
 def test_sampled_basis_function_hits_single_index(bc, kind):
     # bridge to the eigenvalue tables: sampling the continuous basis function
     # and transforming forward concentrates all weight on one index
-    from fastpoisson.grid import GridSpec
     from fastpoisson.verify import basis_vector
 
     n, L = 12, 2.5
     spec = GridSpec(n, L, bc, kind)
     pair = transform_pair_for(bc, kind)
-    fwd = TransformPlan(pair.forward, n)
+    # a periodic basis vector is complex: fft, whose real-input half is rfft
+    forward = sfft.fft if pair.forward is TK.DFT else TransformPlan(pair.forward, n).execute_real
     for k in range(n):
-        v = basis_vector(spec, k)
-        coeffs = fwd.execute_complex(v) if pair.forward.is_complex else fwd.execute_real(v)
-        coeffs = np.abs(coeffs)
+        coeffs = np.abs(forward(basis_vector(spec, k)))
         peak = coeffs[k]
         coeffs[k] = 0.0
         assert coeffs.max() <= 1e-10 * max(peak, 1.0)
@@ -189,10 +200,15 @@ def test_single_point_lengths():
 
 
 def test_kind_dispatch_guards():
-    with pytest.raises(ValueError):
-        TransformPlan(TK.DFT, 4).execute_real(np.zeros(4))
-    with pytest.raises(ValueError):
-        TransformPlan(TK.DST1, 4).execute_complex(np.zeros(4, complex))
+    # a plan runs the real kinds only; a periodic axis goes through pocketfft's
+    # rfftn/irfftn at its own length, whatever its prime factors
+    for kind in (TK.DFT, TK.IDFT):
+        with pytest.raises(ConfigurationError):
+            TransformPlan(kind, 4)
+    config = SolverConfig((GridSpec(53, 1.0, BC.PERIODIC, GK.REGULAR),),
+                          AP.FINITE_DIFFERENCE_2)
+    (axis,) = SolverPlan(config).describe().axes
+    assert (axis.fft_length, axis.largest_prime, axis.method) == (53, 53, "fft")
 
 
 def test_plan_applies_along_declared_axis(rng):
@@ -245,7 +261,6 @@ def test_execute_real_overwrite_x(kind, axis, dtype, rng):
     (TK.DCT1, 64, 126, "matrix"),  # 2 * 3^2 * 7
     (TK.DCT2, 32, 32, "matrix"),  # 2^5
     (TK.DST1, 255, 512, "fft"),  # 2^9
-    (TK.DFT, 53, 53, "fft"),  # complex transforms always use pocketfft
 ], ids=lambda v: getattr(v, "value", v))
 def test_method_selection(kind, n, length, method):
     plan = TransformPlan(kind, n)
