@@ -30,12 +30,7 @@ from .grid import (
     GridKind,
     GridSpec,
 )
-from .solver import (
-    SolveReport,
-    SolverConfig,
-    SolverPlan,
-    apply_discrete_laplacian,
-)
+from .solver import SolveReport, SolverConfig, SolverPlan
 from .transforms import (
     TransformKind,
     TransformPair,
@@ -45,6 +40,17 @@ from .transforms import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # the verification aid lives in ``verify``, whose dense-algebra imports
+    # a plain ``import fastpoisson`` should not pay for
+    if name == "apply_discrete_laplacian":
+        from .verify import apply_discrete_laplacian
+
+        return apply_discrete_laplacian
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "Approximation",

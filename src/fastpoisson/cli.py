@@ -115,9 +115,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _split(text, count, convert, what):
-    parts = [s.strip() for s in str(text).split(",") if s.strip()]
+    # an empty or blank entry fails its conversion like any other bad entry
     try:
-        values = [convert(s) for s in parts]
+        values = [convert(s.strip()) for s in str(text).split(",")]
     except (KeyError, ValueError):
         raise ConfigurationError(f"cannot parse {what} list {text!r}")
     if len(values) == 1 and count > 1:

@@ -29,6 +29,12 @@ entry is the same IEEE operation on the same operands as in the rolled
 stencil, so the results are bit-identical to it.  The terms and a step write
 only into arrays they allocate, so arrays that a caller took from
 ``flow.velocity`` or ``flow.pressure`` keep their values.
+
+The flow keeps no workspace between steps, only its state.  Within a step,
+each stage's working arrays are freed when the stage's helpers return, and a
+term reuses its own scratch where shapes agree.  A warm step's allocation
+peak is about eleven fields on a periodic grid: the state (3), the previous
+and the current tendency (2 + 2) and a term's working set (4).
 """
 
 from __future__ import annotations
@@ -100,11 +106,15 @@ class PressureField:
         return cls(np.zeros(cells))
 
 
-def _new(a, shape=None):
+def _new(a, shape=None, reuse=None):
     """Uninitialized C-contiguous array for a difference of ``a``: ``a``'s
-    dtype when it is inexact, else float64 (as true division would give)."""
+    dtype when it is inexact, else float64 (as true division would give).
+    ``reuse`` is returned instead when it already has that shape and dtype."""
     dtype = a.dtype if a.dtype.kind in "fc" else np.float64
-    return np.empty(a.shape if shape is None else shape, dtype)
+    shape = a.shape if shape is None else shape
+    if reuse is not None and reuse.shape == shape and reuse.dtype == dtype:
+        return reuse
+    return np.empty(shape, dtype)
 
 
 # the first and last line along each axis of a 2D array
@@ -215,9 +225,9 @@ def advective_term(vel: StaggeredVelocity):
     au -= dcz
 
     # w momentum: -(d(uw)/dx + d(ww)/dz) at z-faces
-    dcx = _rolled(np.subtract, corner, corner, -1, 0, _new(corner), rolled_first=True)
-    dcx /= dx
     if vel.z_walls:
+        dcx = _rolled(np.subtract, corner, corner, -1, 0, _new(corner), rolled_first=True)
+        dcx /= dx
         fzz = np.add(w[:, 1:], w[:, :-1], out=fxx)  # w at cell centers, (nx, nz)
         fzz *= 0.5
         fzz *= fzz
@@ -233,6 +243,9 @@ def advective_term(vel: StaggeredVelocity):
         fzz *= fzz
         aw = _rolled(np.subtract, fzz, fzz, 1, 1, _new(w))
         aw /= -dz
+        # fzz is spent; the corner difference has fxx's shape here
+        dcx = _rolled(np.subtract, corner, corner, -1, 0, fxx, rolled_first=True)
+        dcx /= dx
         aw -= dcx
     return au, aw
 
@@ -270,8 +283,9 @@ def viscous_term(vel: StaggeredVelocity):
     d2z /= dz ** 2
     lu += d2z
 
-    twice = np.multiply(w, 2.0, out=_new(w))
-    tmp = _new(w)
+    # u's scratch is spent; w reuses it when the shapes agree (periodic z)
+    twice = np.multiply(w, 2.0, out=_new(w, reuse=twice))
+    tmp = _new(w, reuse=tmp)
     lw = _second_difference(w, twice, 0, tmp, _new(w))
     lw /= dx ** 2
     if vel.z_walls:
@@ -321,63 +335,31 @@ class ProjectionFlow:
         self.poisson = SolverPlan(config, threads=threads)
 
     def rk3_step(self, dt: float) -> None:
-        """Advance one full time step of size dt (three projection stages)."""
+        """Advance one full time step of size dt (three projection stages).
+
+        A stage runs as two helpers whose working arrays are freed when they
+        return: the predictor, which takes the previous stage's tendency h and
+        returns this stage's, and the projection.  The split lets the previous
+        h go before the projection allocates; between stages only the
+        velocity, the pressure and h survive.
+        """
         if not dt > 0:
             raise ValueError(f"time step must be positive, got {dt}")
-        vel, pres = self.velocity, self.pressure
-        fx, fz = self.forcing
-
-        poisson_seconds = 0.0
+        vel = self.velocity
         if not (np.isfinite(vel.u).all() and np.isfinite(vel.w).all()):
             raise FloatingPointError(
                 f"non-finite velocity entering stage 1 of step {self.step_count + 1}"
             )
-        # each later stage starts from the state the after-stage check passed
-        prev_hu = prev_hw = None
+        poisson_seconds = 0.0
+        h = None
         for k in range(3):
-            hu, hw = advective_term(vel)
-            vu, vw = viscous_term(vel)
-            hu += vu
-            hu += fx
-            hw += vw
-            hw += fz
-            if vel.z_walls:
-                hw[:, 0] = 0.0
-                hw[:, -1] = 0.0
-
-            # u* = u + dt (-alpha_k grad p + gamma_k h_k + zeta_k h_{k-1}),
-            # evaluated in place in fresh arrays in that order of operations
-            ustar, wstar = gradient(vel, pres.p)
-            for pred, h, buf, old in ((ustar, hu, vu, vel.u), (wstar, hw, vw, vel.w)):
-                pred *= -_ALPHA[k]
-                pred += np.multiply(h, _GAMMA[k], out=buf)
-                pred *= dt
-                pred += old
-            if _ZETA[k] != 0.0:
-                prev_hu *= dt * _ZETA[k]
-                prev_hw *= dt * _ZETA[k]
-                ustar += prev_hu
-                wstar += prev_hw
-            prev_hu, prev_hw = hu, hw
-
-            if not (np.isfinite(ustar).all() and np.isfinite(wstar).all()):
+            # each later stage starts from the state the after-stage check passed
+            star, h = self._predictor(k, dt, h)
+            if not (np.isfinite(star.u).all() and np.isfinite(star.w).all()):
                 raise FloatingPointError(
                     f"non-finite predictor velocity in stage {k + 1} of step {self.step_count + 1}"
                 )
-            star = StaggeredVelocity(ustar, wstar, vel.lengths, vel.nu, vel.z_walls)
-            rhs = divergence(star)
-            rhs /= _ALPHA[k] * dt
-            phi, report = self.poisson.solve(rhs)
-            poisson_seconds += sum(report.timing.values())
-            gfx, gfz = gradient(vel, phi)
-            gfx *= _ALPHA[k] * dt
-            gfz *= _ALPHA[k] * dt
-            ustar -= gfx
-            wstar -= gfz
-            # new arrays each stage: arrays a caller holds are never written
-            vel.u, vel.w = ustar, wstar
-            pres.p = pres.p + phi
-
+            poisson_seconds += self._project(k, dt, star)
             if not (np.isfinite(vel.u).all() and np.isfinite(vel.w).all()):
                 raise FloatingPointError(
                     f"non-finite velocity after stage {k + 1} of step {self.step_count + 1}"
@@ -386,6 +368,57 @@ class ProjectionFlow:
         self.poisson_seconds = poisson_seconds
         self.time += dt
         self.step_count += 1
+
+    def _predictor(self, k, dt, prev_h):
+        """Stage k's tendency h = advection + viscosity + forcing, and the
+        predictor velocity built from it and ``prev_h``, stage k-1's h (None
+        in stage 1, whose zeta weight is zero); ``prev_h`` is scaled in place."""
+        vel = self.velocity
+        fx, fz = self.forcing
+        hu, hw = advective_term(vel)
+        vu, vw = viscous_term(vel)
+        hu += vu
+        hu += fx
+        hw += vw
+        hw += fz
+        if vel.z_walls:
+            hw[:, 0] = 0.0
+            hw[:, -1] = 0.0
+
+        # u* = u + dt (-alpha_k grad p + gamma_k h_k + zeta_k h_{k-1}),
+        # evaluated in place in fresh arrays in that order of operations
+        ustar, wstar = gradient(vel, self.pressure.p)
+        for pred, h, buf, old in ((ustar, hu, vu, vel.u), (wstar, hw, vw, vel.w)):
+            pred *= -_ALPHA[k]
+            pred += np.multiply(h, _GAMMA[k], out=buf)
+            pred *= dt
+            pred += old
+        if _ZETA[k] != 0.0:
+            prev_hu, prev_hw = prev_h
+            prev_hu *= dt * _ZETA[k]
+            prev_hw *= dt * _ZETA[k]
+            ustar += prev_hu
+            wstar += prev_hw
+        return StaggeredVelocity(ustar, wstar, vel.lengths, vel.nu, vel.z_walls), (hu, hw)
+
+    def _project(self, k, dt, star):
+        """Make the predictor ``star`` divergence-free with stage k's pressure
+        correction and store it, and the corrected pressure, as the new state;
+        returns the seconds of the Poisson solve."""
+        vel, pres = self.velocity, self.pressure
+        rhs = divergence(star)
+        rhs /= _ALPHA[k] * dt
+        phi, report = self.poisson.solve(rhs)
+        gfx, gfz = gradient(vel, phi)
+        gfx *= _ALPHA[k] * dt
+        gfz *= _ALPHA[k] * dt
+        star.u -= gfx
+        star.w -= gfz
+        # new arrays each stage (the pressure goes into the solve's fresh
+        # phi): arrays a caller holds are never written
+        vel.u, vel.w = star.u, star.w
+        pres.p = np.add(pres.p, phi, out=phi)
+        return sum(report.timing.values())
 
     def kinetic_energy(self) -> float:
         """0.5 * integral of |u|^2, one face volume per face value."""

@@ -47,7 +47,6 @@ from .grid import (
     Approximation,
     BoundaryCondition,
     ConfigurationError,
-    GridKind,
     GridSpec,
 )
 from .reorder import ReorderPlan, gather_lines, make_buffer, scatter_lines
@@ -364,54 +363,3 @@ class SolverPlan:
         buf = plan.execute_real(buf, overwrite_x=True)
         scatter_lines(rplan, buf, work)
         return work
-
-
-def apply_discrete_laplacian(config: SolverConfig, field) -> np.ndarray:
-    """Apply the second-order central-difference Laplacian with the plan's
-    boundary closures (verification aid; finite-difference approximation only).
-
-    Closures per axis: periodic wrap; Dirichlet regular ghost = 0; Dirichlet
-    staggered ghost = -phi_edge; Neumann regular ghost = phi_second (reflected
-    node); Neumann staggered ghost = phi_edge.
-    """
-    if config.approximation is not Approximation.FINITE_DIFFERENCE_2:
-        raise ConfigurationError("discrete Laplacian is defined for the fd2 approximation")
-    arr = np.asarray(field)
-    if arr.shape != config.shape:
-        raise ValueError(f"field extents {arr.shape} do not match config extents {config.shape}")
-    result = np.zeros(arr.shape, dtype=np.result_type(arr.dtype, np.float64))
-    for ax, spec in enumerate(config.grids):
-        result += _second_difference(arr, ax, spec)
-    return result
-
-
-def _second_difference(arr, axis, spec: GridSpec):
-    x = np.moveaxis(np.asarray(arr, dtype=np.float64), axis, 0)
-    res = np.empty_like(x)
-    n, bc, kind = spec.n, spec.bc, spec.kind
-    if n == 1:
-        if bc is BoundaryCondition.DIRICHLET:
-            res[0] = -4.0 * x[0] if kind is GridKind.STAGGERED else -2.0 * x[0]
-        else:
-            res[0] = 0.0
-    else:
-        res[1:-1] = x[2:] - 2.0 * x[1:-1] + x[:-2]
-        if bc is BoundaryCondition.PERIODIC:
-            res[0] = x[1] - 2.0 * x[0] + x[-1]
-            res[-1] = x[0] - 2.0 * x[-1] + x[-2]
-        elif bc is BoundaryCondition.DIRICHLET:
-            if kind is GridKind.REGULAR:
-                res[0] = x[1] - 2.0 * x[0]
-                res[-1] = x[-2] - 2.0 * x[-1]
-            else:
-                res[0] = x[1] - 3.0 * x[0]
-                res[-1] = x[-2] - 3.0 * x[-1]
-        else:
-            if kind is GridKind.REGULAR:
-                res[0] = 2.0 * x[1] - 2.0 * x[0]
-                res[-1] = 2.0 * x[-2] - 2.0 * x[-1]
-            else:
-                res[0] = x[1] - x[0]
-                res[-1] = x[-2] - x[-1]
-    res /= spec.dx ** 2
-    return np.moveaxis(res, 0, axis)

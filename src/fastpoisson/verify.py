@@ -1,4 +1,5 @@
-"""Verification machinery: dense oracle solver, manufactured solutions, convergence orders.
+"""Verification machinery: stencil Laplacian, dense oracle solver, manufactured solutions,
+convergence orders.
 
 Everything here is deliberately independent of the transform pipeline: the
 dense oracle assembles the finite-difference system matrix explicitly and
@@ -56,6 +57,57 @@ def stencil_matrix_1d(spec: GridSpec) -> np.ndarray:
             a[0, 0] = -1.0 if n > 1 else 0.0
             a[-1, -1] = -1.0 if n > 1 else 0.0
     return a / spec.dx ** 2
+
+
+def apply_discrete_laplacian(config: SolverConfig, field) -> np.ndarray:
+    """Apply the second-order central-difference Laplacian with the plan's
+    boundary closures (verification aid; finite-difference approximation only).
+
+    Closures per axis: periodic wrap; Dirichlet regular ghost = 0; Dirichlet
+    staggered ghost = -phi_edge; Neumann regular ghost = phi_second (reflected
+    node); Neumann staggered ghost = phi_edge.
+    """
+    if config.approximation is not Approximation.FINITE_DIFFERENCE_2:
+        raise ConfigurationError("discrete Laplacian is defined for the fd2 approximation")
+    arr = np.asarray(field)
+    if arr.shape != config.shape:
+        raise ValueError(f"field extents {arr.shape} do not match config extents {config.shape}")
+    result = np.zeros(arr.shape, dtype=np.result_type(arr.dtype, np.float64))
+    for ax, spec in enumerate(config.grids):
+        result += _second_difference(arr, ax, spec)
+    return result
+
+
+def _second_difference(arr, axis, spec: GridSpec):
+    x = np.moveaxis(np.asarray(arr, dtype=np.float64), axis, 0)
+    res = np.empty_like(x)
+    n, bc, kind = spec.n, spec.bc, spec.kind
+    if n == 1:
+        if bc is BoundaryCondition.DIRICHLET:
+            res[0] = -4.0 * x[0] if kind is GridKind.STAGGERED else -2.0 * x[0]
+        else:
+            res[0] = 0.0
+    else:
+        res[1:-1] = x[2:] - 2.0 * x[1:-1] + x[:-2]
+        if bc is BoundaryCondition.PERIODIC:
+            res[0] = x[1] - 2.0 * x[0] + x[-1]
+            res[-1] = x[0] - 2.0 * x[-1] + x[-2]
+        elif bc is BoundaryCondition.DIRICHLET:
+            if kind is GridKind.REGULAR:
+                res[0] = x[1] - 2.0 * x[0]
+                res[-1] = x[-2] - 2.0 * x[-1]
+            else:
+                res[0] = x[1] - 3.0 * x[0]
+                res[-1] = x[-2] - 3.0 * x[-1]
+        else:
+            if kind is GridKind.REGULAR:
+                res[0] = 2.0 * x[1] - 2.0 * x[0]
+                res[-1] = 2.0 * x[-2] - 2.0 * x[-1]
+            else:
+                res[0] = x[1] - x[0]
+                res[-1] = x[-2] - x[-1]
+    res /= spec.dx ** 2
+    return np.moveaxis(res, 0, axis)
 
 
 def laplacian_matrix(config: SolverConfig) -> np.ndarray:

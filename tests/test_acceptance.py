@@ -22,11 +22,7 @@ from fastpoisson.grid import (
     GridKind as GK,
     GridSpec,
 )
-from fastpoisson.solver import (
-    SolverConfig,
-    SolverPlan,
-    apply_discrete_laplacian,
-)
+from fastpoisson.solver import SolverConfig, SolverPlan
 from fastpoisson.transforms import (
     TransformKind as TK,
     TransformPlan,
@@ -34,6 +30,7 @@ from fastpoisson.transforms import (
     transform_pair_for,
 )
 from fastpoisson.verify import (
+    apply_discrete_laplacian,
     basis_vector,
     convergence_order,
     laplacian_matrix,

@@ -1,11 +1,16 @@
 import argparse
+import contextlib
 import csv
 import inspect
+import io
 import json
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fastpoisson import cli, verifysuite
 from fastpoisson.cli import main
@@ -180,6 +185,7 @@ def test_verify_fault_injection_fails(tmp_path, monkeypatch):
     (["solve", "--in", "no-such-dir/rhs.json"], 3, "rhs.json"),
     (["solve", "--in", "rhs.json", "--seed", "1"], 2, "unrecognized arguments"),
     (["solve", "--in", "rhs.json", "--threads", "0"], 2, "threads must be at least 1"),
+    (["solve", "--in", "rhs.json", "--bc", "periodic,,dirichlet"], 2, "'periodic,,dirichlet'"),
     (["demo-flow", "--dt", "0", "--steps", "2"], 2, "--dt"),
     (["demo-flow", "--dt", "-0.01", "--steps", "2"], 2, "--dt"),
     (["demo-flow", "--dt", "inf", "--steps", "2"], 2, "--dt"),
@@ -188,6 +194,8 @@ def test_verify_fault_injection_fails(tmp_path, monkeypatch):
     (["demo-flow", "--cells", "8,y", "--steps", "2"], 2, "'8,y'"),
     (["demo-flow", "--cells", "1", "--steps", "2"], 2, "'1'"),
     (["demo-flow", "--cells", "8,8,8", "--steps", "2"], 2, "'8,8,8'"),
+    (["demo-flow", "--cells", "8,,8", "--steps", "1"], 2, "'8,,8'"),
+    (["demo-flow", "--cells", "8,", "--steps", "1"], 2, "'8,'"),
     (["demo-flow", "--steps", "-3"], 2, "--steps"),
     (["demo-flow", "--steps", "2", "--snapshot-every", "-1"], 2, "--snapshot-every"),
     (["demo-flow", "--steps", "2", "--threads", "2"], 2, "unrecognized arguments"),
@@ -200,9 +208,10 @@ def test_verify_fault_injection_fails(tmp_path, monkeypatch):
         "bench-size-flag", "bench-format-version-flag", "verify-bc-unknown", "verify-grid-unknown",
         "verify-approx-unknown", "verify-seed-negative", "verify-threads-negative",
         "verify-inject-fault-flag", "solve-format-version", "solve-size-flag", "solve-missing-input",
-        "solve-seed-flag", "solve-threads-zero",
+        "solve-seed-flag", "solve-threads-zero", "solve-bc-empty-entry",
         "flow-dt-zero", "flow-dt-negative", "flow-dt-inf", "flow-nu-negative", "flow-nu-nan",
-        "flow-cells-not-int", "flow-cells-one", "flow-cells-three",
+        "flow-cells-not-int", "flow-cells-one", "flow-cells-three", "flow-cells-empty-entry",
+        "flow-cells-trailing-comma",
         "flow-steps-negative", "flow-snapshot-every-negative",
         "flow-threads-flag", "flow-seed-flag", "flow-tg-length", "flow-tg-forcing",
         "flow-forcing-nan"])
@@ -224,6 +233,60 @@ def test_bad_flag_exits_2_with_message(args, code, message, tmp_path, monkeypatc
     assert message in captured.err and "Traceback" not in captured.err
     assert captured.out == ""
     assert not (tmp_path / "out").exists()
+
+
+def run_cli(argv):
+    """Exit code and stderr of one run; argparse's rejections exit through
+    ``SystemExit``, and any other exception propagates (a traceback)."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+def assert_list_flag_outcome(code, err, entries):
+    # runs or is a configuration error, says why when it fails, never shows
+    # a traceback; a list with an empty or blank entry never runs
+    assert code in (0, 2), (code, err)
+    assert code == 0 or err.strip(), code
+    assert "Traceback" not in err
+    if not all(entry.strip() for entry in entries):
+        assert code == 2, (entries, err)
+
+
+_BLANK = ("", " ", "\t")
+_CELL_TOKENS = _BLANK + ("2", "6", "8", " 8 ", "1", "0", "-3", "8.0", "x", "nan")
+_BC_TOKENS = _BLANK + ("periodic", "dirichlet", " neumann ", "Periodic", "foo", "1")
+_LENGTH_TOKENS = _BLANK + ("1", "2.5", " 0.5", "1e-3", "0", "-1", "nan", "inf", "x")
+
+
+def token_lists(tokens):
+    return st.lists(st.sampled_from(tokens), min_size=1, max_size=4)
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=st.sampled_from(("taylor-green", "channel")), cells=token_lists(_CELL_TOKENS))
+def test_property_demo_flow_cells_lists(case, cells):
+    with tempfile.TemporaryDirectory() as tmp:
+        code, err = run_cli(["demo-flow", "--case", case, "--cells=" + ",".join(cells),
+                             "--steps", "1", "--out", str(Path(tmp) / "out")])
+    assert_list_flag_outcome(code, err, cells)
+
+
+@settings(max_examples=80, deadline=None)
+@given(bcs=st.none() | token_lists(_BC_TOKENS), lengths=st.none() | token_lists(_LENGTH_TOKENS))
+def test_property_solve_bc_and_length_lists(bcs, lengths):
+    with tempfile.TemporaryDirectory() as tmp:
+        rhs = write_field(Path(tmp) / "rhs", np.ones((4, 4)))
+        argv = ["solve", "--in", str(rhs), "--out", str(Path(tmp) / "out")]
+        for flag, entries in (("--bc", bcs), ("--length", lengths)):
+            if entries is not None:
+                argv.append(f"{flag}={','.join(entries)}")
+        code, err = run_cli(argv)
+    assert_list_flag_outcome(code, err, (bcs or []) + (lengths or []))
 
 
 def test_demo_flow_taylor_green_series(tmp_path):

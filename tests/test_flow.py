@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -24,7 +25,8 @@ from fastpoisson.grid import (
     GridKind as GK,
     GridSpec,
 )
-from fastpoisson.solver import SolverConfig, apply_discrete_laplacian
+from fastpoisson.solver import SolverConfig
+from fastpoisson.verify import apply_discrete_laplacian
 
 
 # -- stage coefficients -------------------------------------------------------
@@ -371,6 +373,45 @@ def test_step_leaves_held_state_arrays_unchanged(make):
         np.testing.assert_array_equal(array, copy)
     now = (flow.velocity.u, flow.velocity.w, flow.pressure.p)
     assert not any(np.shares_memory(a, b) for a in held for b in now)
+
+
+def warm_step_memory(flow, dt=0.01):
+    """Allocation peak of a warm step, and the bytes it leaves allocated;
+    tracemalloc counts every numpy array, so both are deterministic."""
+    flow.rk3_step(dt)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        flow.rk3_step(dt)
+        current, peak = tracemalloc.get_traced_memory()
+        return peak - base, current - base
+    finally:
+        tracemalloc.stop()
+
+
+# Python objects a step keeps besides its arrays (array headers, the
+# flow's new float attributes); they are not workspace
+OBJECT_BYTES = 4096
+
+
+@pytest.mark.parametrize("make,fields", [
+    (lambda: taylor_green(64), 11.7),
+    (lambda: taylor_green(256), 11.6),
+    (lambda: channel((64, 32), (2.0, 1.0), 0.05, 1.0), 16.1),
+    (lambda: channel((256, 128), (2.0, 1.0), 0.05, 1.0), 13.5),
+], ids=["taylor-green-64", "taylor-green-256", "channel-64x32", "channel-256x128"])
+def test_step_memory_bound(make, fields):
+    # a warm step's allocation peak in units of the u field: about eleven
+    # fields on the periodic grid (the state, two stages' tendencies and a
+    # term's four working arrays), a little more with walls, where w has an
+    # extra row of faces and the terms cannot share u's scratch; the bounds
+    # are the measured peaks plus about 5 %.  What the step leaves allocated
+    # is the new state alone: the flow keeps no workspace.
+    flow = make()
+    peak, kept = warm_step_memory(flow)
+    assert peak <= fields * flow.velocity.u.nbytes, peak / flow.velocity.u.nbytes
+    state = flow.velocity.u.nbytes + flow.velocity.w.nbytes + flow.pressure.p.nbytes
+    assert state <= kept <= state + OBJECT_BYTES, (kept, state)
 
 
 def test_step_rejects_bad_dt():

@@ -23,10 +23,14 @@ from fastpoisson.solver import (
     _ONES_NULL_COEFF,
     SolverConfig,
     SolverPlan,
-    apply_discrete_laplacian,
 )
-from fastpoisson.transforms import naive_transform, transform_pair_for
-from fastpoisson.verify import basis_vector, dense_oracle_solve, laplacian_matrix
+from fastpoisson.transforms import TransformPlan, naive_transform, transform_pair_for
+from fastpoisson.verify import (
+    apply_discrete_laplacian,
+    basis_vector,
+    dense_oracle_solve,
+    laplacian_matrix,
+)
 
 from conftest import ROWS, ROW_IDS
 
@@ -553,22 +557,50 @@ def test_solution_without_out_is_fresh(grids, precision, rng):
     np.testing.assert_array_equal(sol, again)
 
 
+# wall lengths that the method rule sends to pocketfft rather than to the
+# matrix product: DST-I, DST-II/III, DCT-I and DCT-II/III
+POCKETFFT_LENGTHS = {
+    (BC.DIRICHLET, GK.REGULAR): (255,),
+    (BC.DIRICHLET, GK.STAGGERED): (64, 72, 128),
+    (BC.NEUMANN, GK.REGULAR): (193,),
+    (BC.NEUMANN, GK.STAGGERED): (64, 72, 128),
+}
+
+
+@pytest.mark.parametrize("bc,kind", ROWS[1:], ids=ROW_IDS[1:])
+def test_pocketfft_lengths_take_pocketfft(bc, kind):
+    pair = transform_pair_for(bc, kind)
+    for n in POCKETFFT_LENGTHS[bc, kind]:
+        assert TransformPlan(pair.forward, n).method == "fft"
+        assert TransformPlan(pair.backward, n).method == "fft"
+
+
 @st.composite
 def fd2_configs(draw, approximations=(AP.FINITE_DIFFERENCE_2,), precisions=("double",)):
     """1-3D configs over all five rows and mixed periodic/wall patterns, with
     lengths 1, 2 and primes among them; FD2 in double precision unless other
-    approximations or precisions are given to draw from."""
+    approximations or precisions are given to draw from.  One wall axis, at
+    any position, may take a length from ``POCKETFFT_LENGTHS`` instead; the
+    other axes then keep the grid at 1000 points or fewer."""
     bc, kind = draw(st.sampled_from(ROWS))
+    dims = draw(st.integers(1, 3))
+    pocket_axis, budget = None, 13 ** 3  # points the other axes may multiply to
+    if bc is not BC.PERIODIC and draw(st.booleans()):
+        pocket_axis = draw(st.integers(0, dims - 1))
+        pocket_n = draw(st.sampled_from(POCKETFFT_LENGTHS[bc, kind]))
+        budget = 1000 // pocket_n
+    fewest = 2 if (bc, kind) == (BC.NEUMANN, GK.REGULAR) else 1  # DCT-I needs two points
     grids = []
-    for _ in range(draw(st.integers(1, 3))):
-        n = draw(st.sampled_from((1, 2, 3, 4, 5, 7, 8, 11, 13)))
+    for ax in range(dims):
         length = draw(st.floats(0.5, 3.0))
-        if bc is BC.PERIODIC or draw(st.booleans()):
-            grids.append(periodic(n, length))
-        else:
-            if (bc, kind) == (BC.NEUMANN, GK.REGULAR):
-                n = max(n, 2)  # DCT-I needs two points
-            grids.append(GridSpec(n, length, bc, kind))
+        if ax == pocket_axis:
+            grids.append(GridSpec(pocket_n, length, bc, kind))
+            continue
+        wall = bc is not BC.PERIODIC and budget >= fewest and not draw(st.booleans())
+        n = draw(st.sampled_from([n for n in (1, 2, 3, 4, 5, 7, 8, 11, 13)
+                                  if (fewest if wall else 1) <= n <= budget]))
+        budget //= n
+        grids.append(GridSpec(n, length, bc, kind) if wall else periodic(n, length))
     return SolverConfig(tuple(grids), draw(st.sampled_from(approximations)),
                         precision=draw(st.sampled_from(precisions)))
 

@@ -8,9 +8,10 @@ from fastpoisson.grid import (
     GridKind as GK,
     GridSpec,
 )
-from fastpoisson.solver import SolverConfig, SolverPlan, apply_discrete_laplacian
+from fastpoisson.solver import SolverConfig, SolverPlan
 from fastpoisson.verify import (
     ManufacturedCase,
+    apply_discrete_laplacian,
     convergence_order,
     dense_oracle_solve,
     laplacian_matrix,
