@@ -8,6 +8,17 @@ divergence of the discrete gradient of a cell-centered scalar is exactly the
 FD2 Laplacian the solver diagonalizes, so the corrected velocity is discretely
 divergence-free to roundoff.
 
+Stage k of the scheme reads
+
+    u* = u - alpha_k dt grad p + gamma_k dt h_k + zeta_k dt h_{k-1}
+    lap phi = div u* / (alpha_k dt),   u <- u* - alpha_k dt grad phi,   p <- p + phi
+
+with h the advective, viscous and body-force tendency.  The step folds the
+scalings into fewer passes over the fields: dt rides on the stage weights,
+and the projection solves lap psi = div u* for psi = alpha_k dt phi, subtracts
+grad psi from u* as it stands, and divides psi by alpha_k dt once, where it
+enters the pressure.  The results agree with the unfolded order to roundoff.
+
 Geometry: axes (x, z) with cells (nx, nz).  x is always periodic.  z is either
 periodic (Taylor-Green) or closed by no-slip walls (channel); walls map to
 staggered Neumann conditions for the pressure.  Arrangement:
@@ -24,10 +35,11 @@ explicitly inside the RK3 stage weights.
 Differences and averages along a periodic axis are taken on slices, not on
 shifted copies (``np.roll``): one ufunc call pairs offset views of the
 flattened arrays, and a second one writes the line where the periodic wrap
-lands (``_rolled``).  Wall-bounded z differences are plain slices.  Each
-entry is the same IEEE operation on the same operands as in the rolled
-stencil, so the results are bit-identical to it.  The terms and a step write
-only into arrays they allocate, so arrays that a caller took from
+lands (``_rolled``, which takes its slices from a small cache keyed on the
+shape, the shift and the axis).  Wall-bounded z differences are plain
+slices.  Each entry is the same IEEE operation on the same operands as in
+the rolled stencil, so the results are bit-identical to it.  The terms and a
+step write only into arrays they allocate, so arrays that a caller took from
 ``flow.velocity`` or ``flow.pressure`` keep their values.
 
 The flow keeps no workspace between steps, only its state.  Within a step,
@@ -39,6 +51,7 @@ and the current tendency (2 + 2) and a term's working set (4).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -121,6 +134,18 @@ def _new(a, shape=None, reuse=None):
 _LINE = {(0, 0): (0,), (0, -1): (-1,), (1, 0): (slice(None), 0), (1, -1): (slice(None), -1)}
 
 
+@functools.lru_cache(maxsize=64)
+def _roll_slices(shape, shift, axis):
+    """``_rolled``'s flat slices and edge lines for one shape, shift and axis."""
+    step = shape[1] if axis == 0 else 1
+    size = shape[0] * shape[1]
+    head, tail = slice(0, size - step), slice(step, size)
+    # np.roll(x, -1)[i] == x[i + 1] and np.roll(x, 1)[i] == x[i - 1]
+    if shift == -1:
+        return head, tail, _LINE[axis, -1], _LINE[axis, 0]
+    return tail, head, _LINE[axis, 0], _LINE[axis, -1]
+
+
 def _rolled(op, a, b, shift, axis, out, rolled_first=False):
     """Write ``op(a, np.roll(b, shift, axis))`` into ``out`` (or, with
     ``rolled_first``, ``op(np.roll(a, shift, axis), b)``) for a shift of one
@@ -134,21 +159,14 @@ def _rolled(op, a, b, shift, axis, out, rolled_first=False):
     IEEE operation on the same operands as in the rolled expression, so the
     result is bit-identical to it.
     """
-    step = out.shape[1] if axis == 0 else 1
-    size = out.size
-    head, tail = slice(0, size - step), slice(step, size)
-    # np.roll(x, -1)[i] == x[i + 1] and np.roll(x, 1)[i] == x[i - 1]
-    if shift == -1:
-        here, there, edge, wrap = head, tail, _LINE[axis, -1], _LINE[axis, 0]
-    else:
-        here, there, edge, wrap = tail, head, _LINE[axis, 0], _LINE[axis, -1]
-    flat_a, flat_b, flat_out = a.reshape(-1), b.reshape(-1), out.reshape(-1)
+    here, there, edge, wrap = _roll_slices(out.shape, shift, axis)
+    flat_a, flat_b, flat_out = a.ravel(), b.ravel(), out.ravel()
     if rolled_first:
-        op(flat_a[there], flat_b[here], out=flat_out[here])
-        op(a[wrap], b[edge], out=out[edge])
+        op(flat_a[there], flat_b[here], flat_out[here])
+        op(a[wrap], b[edge], out[edge])
     else:
-        op(flat_a[here], flat_b[there], out=flat_out[here])
-        op(a[edge], b[wrap], out=out[edge])
+        op(flat_a[here], flat_b[there], flat_out[here])
+        op(a[edge], b[wrap], out[edge])
     return out
 
 
@@ -378,20 +396,22 @@ class ProjectionFlow:
         hu, hw = advective_term(vel)
         vu, vw = viscous_term(vel)
         hu += vu
-        hu += fx
         hw += vw
-        hw += fz
+        # a zero body force (Taylor-Green) adds nothing but two passes
+        if fx != 0.0:
+            hu += fx
+        if fz != 0.0:
+            hw += fz
         if vel.z_walls:
             hw[:, 0] = 0.0
             hw[:, -1] = 0.0
 
-        # u* = u + dt (-alpha_k grad p + gamma_k h_k + zeta_k h_{k-1}),
+        # u* = u - alpha_k dt grad p + gamma_k dt h_k + zeta_k dt h_{k-1},
         # evaluated in place in fresh arrays in that order of operations
         ustar, wstar = gradient(vel, self.pressure.p)
         for pred, h, buf, old in ((ustar, hu, vu, vel.u), (wstar, hw, vw, vel.w)):
-            pred *= -_ALPHA[k]
-            pred += np.multiply(h, _GAMMA[k], out=buf)
-            pred *= dt
+            pred *= -_ALPHA[k] * dt
+            pred += np.multiply(h, _GAMMA[k] * dt, out=buf)
             pred += old
         if _ZETA[k] != 0.0:
             prev_hu, prev_hw = prev_h
@@ -404,20 +424,18 @@ class ProjectionFlow:
     def _project(self, k, dt, star):
         """Make the predictor ``star`` divergence-free with stage k's pressure
         correction and store it, and the corrected pressure, as the new state;
-        returns the seconds of the Poisson solve."""
+        returns the seconds of the Poisson solve.  The solve's solution is
+        psi = alpha_k dt phi (see the module docstring)."""
         vel, pres = self.velocity, self.pressure
-        rhs = divergence(star)
-        rhs /= _ALPHA[k] * dt
-        phi, report = self.poisson.solve(rhs)
-        gfx, gfz = gradient(vel, phi)
-        gfx *= _ALPHA[k] * dt
-        gfz *= _ALPHA[k] * dt
+        psi, report = self.poisson.solve(divergence(star))
+        gfx, gfz = gradient(vel, psi)
         star.u -= gfx
         star.w -= gfz
         # new arrays each stage (the pressure goes into the solve's fresh
-        # phi): arrays a caller holds are never written
+        # solution): arrays a caller holds are never written
         vel.u, vel.w = star.u, star.w
-        pres.p = np.add(pres.p, phi, out=phi)
+        psi /= _ALPHA[k] * dt
+        pres.p = np.add(pres.p, psi, out=psi)
         return sum(report.timing.values())
 
     def kinetic_energy(self) -> float:

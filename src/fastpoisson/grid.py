@@ -9,6 +9,8 @@ is handled by the solver, not here.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -64,8 +66,10 @@ class GridSpec:
     def __post_init__(self):
         if self.n < 1:
             raise ConfigurationError(f"point count must be positive, got n={self.n}")
-        if not self.length > 0:
-            raise ConfigurationError(f"axis length must be positive, got L={self.length}")
+        if not (self.length > 0 and math.isfinite(self.length)):
+            raise ConfigurationError(
+                f"axis length must be positive and finite, got L={self.length}"
+            )
         if self.bc is BoundaryCondition.PERIODIC and self.kind is GridKind.STAGGERED:
             raise ConfigurationError("periodic boundary conditions admit only the regular grid")
         if (
@@ -75,6 +79,13 @@ class GridSpec:
         ):
             raise ConfigurationError(
                 f"Neumann on a regular grid needs n >= 2 (boundary nodes included), got n={self.n}"
+            )
+        # the FD2 operator divides by the spacing squared
+        dx2 = self.dx * self.dx
+        if not sys.float_info.min <= dx2 < math.inf:
+            raise ConfigurationError(
+                f"axis length L={self.length} with n={self.n} gives a spacing of {self.dx}, "
+                "whose square is out of float64 range"
             )
 
     @property

@@ -204,6 +204,9 @@ def test_verify_fault_injection_fails(tmp_path, monkeypatch):
     (["demo-flow", "--forcing", "0.5", "--steps", "2"], 2, "--forcing"),
     (["demo-flow", "--case", "channel", "--cells", "8,6", "--forcing", "nan", "--steps", "2"],
      2, "--forcing"),
+    (["solve", "--in", "rhs.json", "--length", "inf,1", "--bc", "dirichlet"], 2, "L=inf"),
+    (["demo-flow", "--case", "channel", "--cells", "4,4", "--length", "1e300,1", "--steps", "1"],
+     2, "out of float64 range"),
 ], ids=["bench-sizes-not-int", "bench-sizes-zero", "bench-reps-zero", "bench-seed-negative",
         "bench-size-flag", "bench-format-version-flag", "verify-bc-unknown", "verify-grid-unknown",
         "verify-approx-unknown", "verify-seed-negative", "verify-threads-negative",
@@ -214,7 +217,7 @@ def test_verify_fault_injection_fails(tmp_path, monkeypatch):
         "flow-cells-trailing-comma",
         "flow-steps-negative", "flow-snapshot-every-negative",
         "flow-threads-flag", "flow-seed-flag", "flow-tg-length", "flow-tg-forcing",
-        "flow-forcing-nan"])
+        "flow-forcing-nan", "solve-length-inf", "flow-length-spacing-overflow"])
 def test_bad_flag_exits_2_with_message(args, code, message, tmp_path, monkeypatch, capsys):
     """Bad input exits with its documented code and a message, never a
     traceback; argparse's own rejections exit 2 through ``SystemExit``.
@@ -287,6 +290,9 @@ def test_property_solve_bc_and_length_lists(bcs, lengths):
                 argv.append(f"{flag}={','.join(entries)}")
         code, err = run_cli(argv)
     assert_list_flag_outcome(code, err, (bcs or []) + (lengths or []))
+    # a non-finite length is a configuration error, never a solve
+    if lengths and any(entry.strip() in ("inf", "nan") for entry in lengths):
+        assert code == 2, (lengths, err)
 
 
 def test_demo_flow_taylor_green_series(tmp_path):

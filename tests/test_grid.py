@@ -83,3 +83,22 @@ def test_degenerate_single_point_accepted(bc, kind):
 def test_invalid_sizes_rejected(n, length):
     with pytest.raises(ConfigurationError):
         GridSpec(n, length, BC.PERIODIC)
+
+
+@pytest.mark.parametrize("bc,kind", ROWS, ids=ROW_IDS)
+@pytest.mark.parametrize("length,message", [
+    (np.inf, "finite"), (np.nan, "positive"), (1e300, "square"), (1e-170, "square"),
+], ids=["inf", "nan", "overflow", "underflow"])
+def test_length_out_of_float64_range_rejected(bc, kind, length, message):
+    # an infinite length, or a spacing whose square overflows or underflows,
+    # would make the FD2 operator's 1/dx**2 meaningless
+    with pytest.raises(ConfigurationError, match=message):
+        GridSpec(4, length, bc, kind)
+
+
+@pytest.mark.parametrize("bc,kind", ROWS, ids=ROW_IDS)
+def test_extreme_finite_lengths_accepted(bc, kind):
+    # spacings whose square stays a normal float64 are fine
+    for length in (1e150, 1e-150):
+        spec = GridSpec(4, length, bc, kind)
+        assert np.isfinite(spec.dx * spec.dx) and spec.dx * spec.dx > 0

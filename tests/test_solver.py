@@ -557,6 +557,77 @@ def test_solution_without_out_is_fresh(grids, precision, rng):
     np.testing.assert_array_equal(sol, again)
 
 
+# -- the zero-mean contract of singular solves -------------------------------
+
+
+# every singular pattern: zeroing the null coefficient leaves a zero
+# arithmetic mean on the periodic and Neumann-staggered rows, while a
+# Neumann-regular axis (DCT-I) needs the mean subtracted after the backward pass
+_SINGULAR_LAYOUTS = {
+    "all-periodic-2d": (periodic(12), periodic(10, 1.5)),
+    "all-periodic-64x64": (periodic(64, 2 * np.pi), periodic(64, 2 * np.pi)),
+    "all-periodic-3d": (periodic(6), periodic(5, 1.5), periodic(7, 2.0)),
+    "periodic-neumann-stag": (periodic(12), GridSpec(9, 1.5, BC.NEUMANN, GK.STAGGERED)),
+    "periodic-neumann-stag-3d": (periodic(8, 2.0), GridSpec(64, 1.0, BC.NEUMANN, GK.STAGGERED),
+                                 GridSpec(6, 1.0, BC.NEUMANN, GK.STAGGERED)),
+    "periodic-neumann-reg": (periodic(12), GridSpec(9, 1.5, BC.NEUMANN, GK.REGULAR)),
+    "neumann-reg-periodic-3d": (GridSpec(5, 1.0, BC.NEUMANN, GK.REGULAR), periodic(7, 2.0),
+                                GridSpec(4, 1.5, BC.NEUMANN, GK.REGULAR)),
+    "all-neumann-reg": (GridSpec(11, 1.0, BC.NEUMANN, GK.REGULAR),
+                        GridSpec(193, 1.5, BC.NEUMANN, GK.REGULAR)),
+    "all-neumann-stag": (GridSpec(11, 1.0, BC.NEUMANN, GK.STAGGERED),
+                         GridSpec(9, 1.5, BC.NEUMANN, GK.STAGGERED)),
+}
+
+
+@pytest.mark.parametrize("precision", ["double", "single"])
+@pytest.mark.parametrize("grids", list(_SINGULAR_LAYOUTS.values()), ids=list(_SINGULAR_LAYOUTS))
+def test_singular_solution_has_zero_mean(grids, precision, rng):
+    plan = SolverPlan(SolverConfig(grids, AP.FINITE_DIFFERENCE_2, precision=precision))
+    assert plan.config.singular
+    for offset in (0.0, 3.5):  # an incompatible rhs has its mean removed
+        rhs = (rng.standard_normal(plan.shape) + offset).astype(plan.dtype)
+        sol, _ = plan.solve(rhs)
+        bound = 8 * np.finfo(plan.dtype).eps * np.abs(sol).max(initial=0.0)
+        assert abs(sol.mean(dtype=np.float64)) <= bound, (offset, sol.mean(dtype=np.float64), bound)
+
+
+@pytest.mark.parametrize("precision", ["double", "single"])
+@pytest.mark.parametrize("shape", [(16,), (8, 6), (16, 12), (6, 5, 7)], ids=str)
+def test_all_periodic_solve_reads_rhs_without_writing_it(shape, precision, rng):
+    # a read-only rhs, a read-only strided view and an out that aliases the
+    # rhs all give the dense oracle's answer, and only the aliasing out
+    # changes the input
+    grids = tuple(periodic(n, 1.0 + 0.5 * ax) for ax, n in enumerate(shape))
+    config = SolverConfig(grids, AP.FINITE_DIFFERENCE_2, precision=precision)
+    plan = SolverPlan(config)
+    rhs = rng.standard_normal(shape)
+    ref = dense_oracle_solve(SolverConfig(grids, AP.FINITE_DIFFERENCE_2), rhs)
+    tol = (1e-9 if precision == "double" else 1e-4) * np.abs(ref).max()
+
+    frozen = rhs.astype(plan.dtype)
+    kept = frozen.copy()
+    frozen.setflags(write=False)
+    sol, _ = plan.solve(frozen)
+    assert np.abs(sol - ref).max() <= tol
+    assert not np.shares_memory(sol, frozen) and sol.flags.c_contiguous
+    assert frozen.tobytes() == kept.tobytes()
+
+    parent = np.zeros(tuple(2 * n + 1 for n in shape), plan.dtype)
+    block = tuple(slice(1, 1 + 2 * n, 2) for n in shape)
+    parent[block] = kept
+    parent.setflags(write=False)
+    view = parent[block]  # read-only, as its parent is
+    strided, _ = plan.solve(view)
+    assert strided.tobytes() == sol.tobytes()
+    assert view.tobytes() == kept.tobytes()
+
+    aliased = kept.copy()
+    got, _ = plan.solve(aliased, out=aliased)
+    assert got is aliased
+    assert aliased.tobytes() == sol.tobytes()
+
+
 # wall lengths that the method rule sends to pocketfft rather than to the
 # matrix product: DST-I, DST-II/III, DCT-I and DCT-II/III
 POCKETFFT_LENGTHS = {
