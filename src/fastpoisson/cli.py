@@ -39,10 +39,10 @@ EXIT_IO = 3
 EXIT_ALLOC = 4
 EXIT_UNSTABLE = 5
 
-_BC = {"periodic": BoundaryCondition.PERIODIC, "dirichlet": BoundaryCondition.DIRICHLET,
-       "neumann": BoundaryCondition.NEUMANN}
-_KIND = {"regular": GridKind.REGULAR, "staggered": GridKind.STAGGERED}
-_APPROX = {"spectral": Approximation.PSEUDO_SPECTRAL, "fd2": Approximation.FINITE_DIFFERENCE_2}
+
+def _spellings(enum):
+    """The command-line spellings of an enum's members: their values, sorted."""
+    return sorted(member.value for member in enum)
 
 
 def main(argv=None) -> int:
@@ -56,7 +56,7 @@ def main(argv=None) -> int:
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (FieldFormatError, FileNotFoundError, IsADirectoryError, PermissionError) as exc:
+    except (FieldFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except MemoryError:
@@ -81,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--bc", help="boundary condition per axis: periodic|dirichlet|neumann "
                     "(default periodic)")
     ps.add_argument("--grid", help="grid kind per axis: regular|staggered (default regular)")
-    ps.add_argument("--approx", default="fd2", choices=sorted(_APPROX),
+    ps.add_argument("--approx", default="fd2", choices=_spellings(Approximation),
                     help="approximation (default fd2)")
     ps.add_argument("--precision", default=None, choices=("double", "single"))
     ps.add_argument("--threads", type=int, default=1)
@@ -90,9 +90,11 @@ def build_parser() -> argparse.ArgumentParser:
     ps.set_defaults(func=cmd_solve)
 
     pv = sub.add_parser("verify", allow_abbrev=False, help="run the verification suites")
-    pv.add_argument("--bc", choices=sorted(_BC), help="restrict to one boundary condition")
-    pv.add_argument("--grid", choices=sorted(_KIND), help="restrict to one grid kind")
-    pv.add_argument("--approx", choices=sorted(_APPROX), help="restrict to one approximation")
+    pv.add_argument("--bc", choices=_spellings(BoundaryCondition),
+                    help="restrict to one boundary condition")
+    pv.add_argument("--grid", choices=_spellings(GridKind), help="restrict to one grid kind")
+    pv.add_argument("--approx", choices=_spellings(Approximation),
+                    help="restrict to one approximation")
     pv.add_argument("--seed", type=int, default=0)
     pv.add_argument("--threads", type=int, default=1)
     pv.add_argument("--out", help="write the JSON summary here (default: stdout)")
@@ -118,7 +120,7 @@ def _split(text, count, convert, what):
     # an empty or blank entry fails its conversion like any other bad entry
     try:
         values = [convert(s.strip()) for s in str(text).split(",")]
-    except (KeyError, ValueError):
+    except ValueError:
         raise ConfigurationError(f"cannot parse {what} list {text!r}")
     if len(values) == 1 and count > 1:
         values = values * count
@@ -138,8 +140,8 @@ def _grids_from_flags(args, dims, sizes, header):
         return [getattr(g, attr) for g in header] if header else [default] * dims
 
     lengths = per_axis(args.length, float, "length", "length", 1.0)
-    bcs = per_axis(args.bc, lambda s: _BC[s], "bc", "bc", BoundaryCondition.PERIODIC)
-    kinds = per_axis(args.grid, lambda s: _KIND[s], "grid", "kind", GridKind.REGULAR)
+    bcs = per_axis(args.bc, BoundaryCondition, "bc", "bc", BoundaryCondition.PERIODIC)
+    kinds = per_axis(args.grid, GridKind, "grid", "kind", GridKind.REGULAR)
     return tuple(GridSpec(n, L, bc, kind) for n, L, bc, kind in zip(sizes, lengths, bcs, kinds))
 
 
@@ -168,9 +170,11 @@ def _write_manifest(outdir: Path, args, outputs):
 
 def cmd_solve(args) -> int:
     rhs, header_grids = read_field(args.input)
+    if not np.isfinite(rhs).all():
+        raise FieldFormatError(f"{args.input}: the field holds non-finite values")
     grids = _grids_from_flags(args, rhs.ndim, rhs.shape, header_grids)
     precision = args.precision or ("single" if rhs.dtype == np.float32 else "double")
-    config = SolverConfig(grids, _APPROX[args.approx], precision=precision)
+    config = SolverConfig(grids, Approximation(args.approx), precision=precision)
     t_plan = time.perf_counter()
     plan = SolverPlan(config, threads=args.threads)
     plan_seconds = time.perf_counter() - t_plan
@@ -205,13 +209,10 @@ def cmd_solve(args) -> int:
 def cmd_verify(args) -> int:
     if args.seed < 0:
         raise ConfigurationError(f"--seed must be non-negative, got {args.seed}")
-    bc = _BC[args.bc] if args.bc else None
-    kind = _KIND[args.grid] if args.grid else None
-    approx = _APPROX[args.approx] if args.approx else None
     results = verifysuite.run_suites(
-        bc=bc,
-        kind=kind,
-        approximation=approx,
+        bc=BoundaryCondition(args.bc) if args.bc else None,
+        kind=GridKind(args.grid) if args.grid else None,
+        approximation=Approximation(args.approx) if args.approx else None,
         seed=args.seed,
         threads=args.threads,
     )

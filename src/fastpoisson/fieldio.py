@@ -43,7 +43,7 @@ def grid_from_dict(d: dict) -> GridSpec:
             BoundaryCondition(d["bc"]),
             GridKind(d["kind"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FieldFormatError(f"bad grid entry {d!r}: {exc}") from exc
 
 
@@ -132,7 +132,8 @@ def read_field(header_path):
 
 def _payload_path(header_path: Path, payload) -> Path:
     """The payload file, which must lie in the header's own directory tree."""
-    if not isinstance(payload, str) or Path(payload).is_absolute():
+    # a NUL byte ends a path at the OS level, so no file name holds one
+    if not isinstance(payload, str) or "\0" in payload or Path(payload).is_absolute():
         raise FieldFormatError(f"{header_path}: payload must be a relative path, got {payload!r}")
     base = header_path.parent.resolve()
     path = (base / payload).resolve()

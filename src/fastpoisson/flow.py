@@ -32,14 +32,18 @@ Advective terms use second-order conservative central differences (the
 divergence form of the momentum flux); viscosity is a constant and is treated
 explicitly inside the RK3 stage weights.
 
-Differences and averages along a periodic axis are taken on slices, not on
-shifted copies (``np.roll``): one ufunc call pairs offset views of the
-flattened arrays, and a second one writes the line where the periodic wrap
-lands (``_rolled``, which takes its slices from a small cache keyed on the
-shape, the shift and the axis).  Wall-bounded z differences are plain
-slices.  Each entry is the same IEEE operation on the same operands as in
-the rolled stencil, so the results are bit-identical to it.  The terms and a
-step write only into arrays they allocate, so arrays that a caller took from
+Every difference and average pairs neighbours on the staggered grid, through
+one of two operators: ``_forward`` pairs entry i+1 with entry i and writes
+at i (faces to cells), ``_backward`` pairs entry i with entry i-1 and writes
+at i (cells to faces).  They own the closure of the axis.  Periodically, one
+ufunc call pairs offset views of the flattened arrays and a second one
+writes the line where the wrap lands, with no shifted copy (``np.roll``); the
+slices come from a small cache keyed on the shape and the axis.  Between
+walls, the pair is a plain slice: the forward result is one entry shorter,
+and the backward result one entry longer with its wall faces zero.  Each
+entry is the same IEEE operation on the same operands as in the rolled
+stencil, so the results are bit-identical to it.  The terms and a step write
+only into arrays they allocate, so arrays that a caller took from
 ``flow.velocity`` or ``flow.pressure`` keep their values.
 
 The flow keeps no workspace between steps, only its state.  Within a step,
@@ -130,56 +134,72 @@ def _new(a, shape=None, reuse=None):
     return np.empty(shape, dtype)
 
 
-# the first and last line along each axis of a 2D array
-_LINE = {(0, 0): (0,), (0, -1): (-1,), (1, 0): (slice(None), 0), (1, -1): (slice(None), -1)}
-
-
 @functools.lru_cache(maxsize=64)
-def _roll_slices(shape, shift, axis):
-    """``_rolled``'s flat slices and edge lines for one shape, shift and axis."""
+def _pairing(shape, axis):
+    """The index expressions that pair entry i+1 with entry i along ``axis``
+    of a 2D array of ``shape``: as flat slices one line apart, then the
+    first and the last line (where the periodic wrap lands), then as plain
+    slices (the wall closure)."""
     step = shape[1] if axis == 0 else 1
     size = shape[0] * shape[1]
-    head, tail = slice(0, size - step), slice(step, size)
-    # np.roll(x, -1)[i] == x[i + 1] and np.roll(x, 1)[i] == x[i - 1]
-    if shift == -1:
-        return head, tail, _LINE[axis, -1], _LINE[axis, 0]
-    return tail, head, _LINE[axis, 0], _LINE[axis, -1]
+    lead = (slice(None),) * axis
+    return (slice(step, size), slice(0, size - step), lead + (0,), lead + (-1,),
+            lead + (slice(1, None),), lead + (slice(0, shape[axis] - 1),),
+            lead + (slice(1, -1),))
 
 
-def _rolled(op, a, b, shift, axis, out, rolled_first=False):
-    """Write ``op(a, np.roll(b, shift, axis))`` into ``out`` (or, with
-    ``rolled_first``, ``op(np.roll(a, shift, axis), b)``) for a shift of one
-    cell either way, without making the shifted copy.
-
-    ``out`` is a C-contiguous 2D array that shares no memory with ``a`` or
-    ``b``.  The first ufunc call pairs the flattened operands one line apart
-    along ``axis``.  Along the last axis that also pairs the end of one row
-    with the start of the next; the second call, on the line where the
-    periodic wrap lands, overwrites those entries.  Each entry is the same
-    IEEE operation on the same operands as in the rolled expression, so the
-    result is bit-identical to it.
-    """
-    here, there, edge, wrap = _roll_slices(out.shape, shift, axis)
-    flat_a, flat_b, flat_out = a.ravel(), b.ravel(), out.ravel()
-    if rolled_first:
-        op(flat_a[there], flat_b[here], flat_out[here])
-        op(a[wrap], b[edge], out[edge])
-    else:
-        op(flat_a[here], flat_b[there], flat_out[here])
-        op(a[edge], b[wrap], out[edge])
+def _pair(op, a, b, axis, out, walls, forward):
+    """``op(a[i+1], b[i])`` written at i (``forward``) or at i+1; see
+    ``_forward`` and ``_backward``."""
+    after, before, first, last, upper, lower, inner = _pairing(a.shape, axis)
+    if walls:
+        shape = list(a.shape)
+        shape[axis] += -1 if forward else 1
+        out = _new(a, tuple(shape), reuse=out)
+        if forward:
+            return op(a[upper], b[lower], out)
+        op(a[upper], b[lower], out[inner])
+        out[first] = 0.0
+        out[last] = 0.0
+        return out
+    out = _new(a, reuse=out)
+    op(a.ravel()[after], b.ravel()[before], out.ravel()[before if forward else after])
+    op(a[first], b[last], out[last if forward else first])
     return out
+
+
+def _forward(op, a, axis, out=None, b=None, walls=False):
+    """``op(a[i+1], b[i])`` along ``axis`` at every i, periodically (``b``
+    defaults to ``a``).  With ``walls`` the axis is closed instead, and the
+    result is one entry shorter than ``a``: faces to the cells between them.
+
+    The result goes into ``out`` when that has its shape and dtype, else into
+    a new array.  A periodic pair is taken without a shifted copy: one ufunc
+    call pairs the flattened operands one line apart along ``axis`` (along
+    the last axis that also pairs the end of one row with the start of the
+    next) and a second one, on the line where the wrap lands, overwrites
+    those entries.  Each entry is the same IEEE operation on the same
+    operands as in the ``np.roll`` stencil, so the result is bit-identical to
+    it.  ``out`` is C-contiguous and shares no memory with ``a`` or ``b``.
+    """
+    return _pair(op, a, a if b is None else b, axis, out, walls, True)
+
+
+def _backward(op, a, axis, out=None, b=None, walls=False):
+    """``op(a[i], b[i-1])`` along ``axis`` at every i, periodically; with
+    ``walls`` the result is one entry longer than ``a`` (cells to the faces
+    around them) and its two wall faces are zero.  Otherwise as
+    ``_forward``; along a wall axis ``b`` may be longer than ``a``, and its
+    first entries are used."""
+    return _pair(op, a, a if b is None else b, axis, out, walls, False)
 
 
 def divergence(vel: StaggeredVelocity) -> np.ndarray:
     """Cell-centered divergence: sum over axes of face differences / spacing."""
     dx, dz = vel.spacing
-    u, w = vel.u, vel.w
-    div = _rolled(np.subtract, u, u, -1, 0, _new(u), rolled_first=True)
+    div = _forward(np.subtract, vel.u, 0)
     div /= dx
-    if vel.z_walls:
-        dw = np.subtract(w[:, 1:], w[:, :-1], out=_new(w, u.shape))
-    else:
-        dw = _rolled(np.subtract, w, w, -1, 1, _new(w), rolled_first=True)
+    dw = _forward(np.subtract, vel.w, 1, walls=vel.z_walls)
     dw /= dz
     div += dw
     return div
@@ -192,33 +212,20 @@ def gradient(vel: StaggeredVelocity, scalar: np.ndarray):
     pinned wall velocities untouched by the corrector.
     """
     dx, dz = vel.spacing
-    gx = _rolled(np.subtract, scalar, scalar, 1, 0, _new(scalar))
+    gx = _backward(np.subtract, scalar, 0)
     gx /= dx
-    if vel.z_walls:
-        nx, nz = scalar.shape
-        gz = np.zeros((nx, nz + 1), gx.dtype)
-        inner = np.subtract(scalar[:, 1:], scalar[:, :-1], out=gz[:, 1:-1])
-        inner /= dz
-    else:
-        gz = _rolled(np.subtract, scalar, scalar, 1, 1, _new(scalar))
-        gz /= dz
+    gz = _backward(np.subtract, scalar, 1, walls=vel.z_walls)
+    gz /= dz
     return gx, gz
 
 
 def _corner_flux(vel: StaggeredVelocity) -> np.ndarray:
-    """u*w interpolated to cell corners (where neither component lives)."""
-    u, w = vel.u, vel.w
-    wc = _rolled(np.add, w, w, 1, 0, _new(w))
+    """u*w interpolated to cell corners (where neither component lives); on
+    the walls, where w is zero, the corner value is zero."""
+    wc = _backward(np.add, vel.w, 0)
     wc *= 0.5
-    if vel.z_walls:
-        uc = _new(u, w.shape)  # (nx, nz+1) at corners
-        inner = np.add(u[:, 1:], u[:, :-1], out=uc[:, 1:-1])
-        inner *= 0.5
-        uc[:, 0] = 0.0  # wall values never used: w is 0 there
-        uc[:, -1] = 0.0
-    else:
-        uc = _rolled(np.add, u, u, 1, 1, _new(u))
-        uc *= 0.5
+    uc = _backward(np.add, vel.u, 1, walls=vel.z_walls)
+    uc *= 0.5
     uc *= wc
     return uc
 
@@ -226,53 +233,41 @@ def _corner_flux(vel: StaggeredVelocity) -> np.ndarray:
 def advective_term(vel: StaggeredVelocity):
     """-div(u (x) u) on each face grid, second-order conservative form."""
     dx, dz = vel.spacing
-    u, w = vel.u, vel.w
+    u, w, walls = vel.u, vel.w, vel.z_walls
     corner = _corner_flux(vel)
 
     # u momentum: -(d(uu)/dx + d(wu)/dz) at x-faces
-    fxx = _rolled(np.add, u, u, -1, 0, _new(u))  # u at cell centers, halved and squared below
+    fxx = _forward(np.add, u, 0)  # u at cell centers, halved and squared below
     fxx *= 0.5
     fxx *= fxx
-    au = _rolled(np.subtract, fxx, fxx, 1, 0, _new(u))
+    au = _backward(np.subtract, fxx, 0)
     au /= -dx
-    if vel.z_walls:
-        dcz = np.subtract(corner[:, 1:], corner[:, :-1], out=fxx)
-    else:
-        dcz = _rolled(np.subtract, corner, corner, -1, 1, fxx, rolled_first=True)
+    dcz = _forward(np.subtract, corner, 1, fxx, walls=walls)
     dcz /= dz
     au -= dcz
 
     # w momentum: -(d(uw)/dx + d(ww)/dz) at z-faces
-    if vel.z_walls:
-        dcx = _rolled(np.subtract, corner, corner, -1, 0, _new(corner), rolled_first=True)
-        dcx /= dx
-        fzz = np.add(w[:, 1:], w[:, :-1], out=fxx)  # w at cell centers, (nx, nz)
-        fzz *= 0.5
-        fzz *= fzz
-        aw = _new(w)
-        inner = np.subtract(fzz[:, 1:], fzz[:, :-1], out=aw[:, 1:-1])
-        inner /= -dz
-        inner -= dcx[:, 1:-1]
+    fzz = _forward(np.add, w, 1, fxx, walls=walls)  # w at cell centers, (nx, nz)
+    fzz *= 0.5
+    fzz *= fzz
+    aw = _backward(np.subtract, fzz, 1, walls=walls)
+    aw /= -dz
+    # fzz is spent; the corner difference reuses it where the shapes agree
+    dcx = _forward(np.subtract, corner, 0, fzz)
+    dcx /= dx
+    aw -= dcx
+    if walls:
         aw[:, 0] = 0.0
         aw[:, -1] = 0.0
-    else:
-        fzz = _rolled(np.add, w, w, -1, 1, fxx, rolled_first=True)
-        fzz *= 0.5
-        fzz *= fzz
-        aw = _rolled(np.subtract, fzz, fzz, 1, 1, _new(w))
-        aw /= -dz
-        # fzz is spent; the corner difference has fxx's shape here
-        dcx = _rolled(np.subtract, corner, corner, -1, 0, fxx, rolled_first=True)
-        dcx /= dx
-        aw -= dcx
     return au, aw
 
 
-def _second_difference(a, twice, axis, tmp, out):
-    """``np.roll(a, -1, axis) - twice + np.roll(a, 1, axis)`` with ``twice`` =
-    2 a, through ``tmp``; ``out`` may be ``twice`` but no other operand."""
-    _rolled(np.subtract, a, twice, -1, axis, tmp, rolled_first=True)
-    return _rolled(np.add, tmp, a, 1, axis, out)
+def _second_difference(a, twice, axis, out, walls=False):
+    """``a[i+1] - twice[i] + a[i-1]`` along ``axis``, with ``twice`` = 2 a;
+    ``out`` may be ``twice`` but no other operand.  With ``walls`` the two
+    wall entries are zero."""
+    diff = _forward(np.subtract, a, axis, b=twice, walls=walls)
+    return _backward(np.add, diff, axis, out, b=a, walls=walls)
 
 
 def viscous_term(vel: StaggeredVelocity):
@@ -283,40 +278,29 @@ def viscous_term(vel: StaggeredVelocity):
     pinned zero wall values for the normal component.
     """
     dx, dz = vel.spacing
-    u, w = vel.u, vel.w
+    u, w, walls = vel.u, vel.w, vel.z_walls
 
     twice = np.multiply(u, 2.0, out=_new(u))
-    tmp = _new(u)
-    lu = _second_difference(u, twice, 0, tmp, _new(u))
+    lu = _second_difference(u, twice, 0, _new(u))
     lu /= dx ** 2
-    if vel.z_walls:
-        d2z = tmp
-        inner = np.subtract(u[:, 2:], twice[:, 1:-1], out=d2z[:, 1:-1])
-        inner += u[:, :-2]
+    d2z = _second_difference(u, twice, 1, twice, walls)
+    if walls:
         for wall, first in ((0, 1), (-1, -2)):  # ghost = -u at the wall
             edge = np.multiply(u[:, wall], 3.0, out=d2z[:, wall])
             np.subtract(u[:, first], edge, out=edge)
-    else:
-        d2z = _second_difference(u, twice, 1, tmp, twice)
     d2z /= dz ** 2
     lu += d2z
 
     # u's scratch is spent; w reuses it when the shapes agree (periodic z)
     twice = np.multiply(w, 2.0, out=_new(w, reuse=twice))
-    tmp = _new(w, reuse=tmp)
-    lw = _second_difference(w, twice, 0, tmp, _new(w))
+    lw = _second_difference(w, twice, 0, _new(w))
     lw /= dx ** 2
-    if vel.z_walls:
-        inner = np.subtract(w[:, 2:], twice[:, 1:-1], out=tmp[:, 1:-1])
-        inner += w[:, :-2]
-        inner /= dz ** 2
-        lw[:, 1:-1] += inner
+    d2z = _second_difference(w, twice, 1, twice, walls)
+    d2z /= dz ** 2
+    lw += d2z
+    if walls:
         lw[:, 0] = 0.0
         lw[:, -1] = 0.0
-    else:
-        d2z = _second_difference(w, twice, 1, tmp, twice)
-        d2z /= dz ** 2
-        lw += d2z
     lu *= vel.nu
     lw *= vel.nu
     return lu, lw
@@ -452,13 +436,6 @@ class ProjectionFlow:
     def max_divergence(self) -> float:
         return float(np.abs(divergence(self.velocity)).max())
 
-    def velocity_scale(self) -> float:
-        return max(
-            float(np.abs(self.velocity.u).max()),
-            float(np.abs(self.velocity.w).max()),
-            1e-300,
-        )
-
     def cfl_advisory(self, dt: float) -> float:
         """Advective CFL number for the given step (caller stability aid)."""
         dx, dz = self.velocity.spacing
@@ -467,7 +444,7 @@ class ProjectionFlow:
         return dt * (umax / dx + wmax / dz)
 
 
-def taylor_green(n: int, nu: float = 0.01, amplitude: float = 1.0) -> ProjectionFlow:
+def taylor_green(n: int, nu: float = 0.01) -> ProjectionFlow:
     """Doubly periodic Taylor-Green vortex on [0, 2 pi]^2.
 
     The analytic solution decays as exp(-2 nu t) per component, so kinetic
@@ -480,8 +457,8 @@ def taylor_green(n: int, nu: float = 0.01, amplitude: float = 1.0) -> Projection
     zu = (i + 0.5) * dz
     xw = (i + 0.5) * dx  # w faces
     zw = i * dz
-    u = amplitude * np.sin(xu)[:, None] * np.cos(zu)[None, :]
-    w = -amplitude * np.cos(xw)[:, None] * np.sin(zw)[None, :]
+    u = np.sin(xu)[:, None] * np.cos(zu)[None, :]
+    w = -np.cos(xw)[:, None] * np.sin(zw)[None, :]
     vel = StaggeredVelocity(u, w, (L, L), nu, z_walls=False)
     return ProjectionFlow(vel)
 

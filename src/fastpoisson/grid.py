@@ -101,11 +101,10 @@ class GridSpec:
 
     def points(self) -> np.ndarray:
         """Coordinates of the n points, strictly increasing, inside [0, L]."""
-        j = np.arange(self.n, dtype=np.float64)
+        # the first point lies half a spacing in (cell centers), a whole one
+        # (Dirichlet interior nodes) or on the boundary
         if self.kind is GridKind.STAGGERED:
-            return (j + 0.5) * (self.length / self.n)
-        if self.bc is BoundaryCondition.PERIODIC:
-            return j * (self.length / self.n)
-        if self.bc is BoundaryCondition.DIRICHLET:
-            return (j + 1.0) * (self.length / (self.n + 1))
-        return j * (self.length / (self.n - 1))
+            first = 0.5
+        else:
+            first = 1.0 if self.bc is BoundaryCondition.DIRICHLET else 0.0
+        return (np.arange(self.n, dtype=np.float64) + first) * self.dx

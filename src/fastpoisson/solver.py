@@ -39,6 +39,7 @@ safe.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field as dataclass_field
@@ -56,22 +57,12 @@ from .grid import (
 )
 from .reorder import ReorderPlan, gather_lines, make_buffer, scatter_lines
 from .transforms import (
-    TransformKind,
     TransformPlan,
     largest_prime_factor,
     transform_pair_for,
 )
 
 _PRECISION_DTYPES = {"double": np.float64, "single": np.float32}
-
-# forward transform of the all-ones line, evaluated at the null index; used to
-# convert the removed null coefficient back into a mean value (the periodic
-# forward leg is rfftn, unnormalized, as is the DFT in transforms.py)
-_ONES_NULL_COEFF = {
-    TransformKind.DFT: lambda n: float(n),
-    TransformKind.DCT1: lambda n: 2.0 * (n - 1),
-    TransformKind.DCT2: lambda n: 2.0 * n,
-}
 
 
 @dataclass(frozen=True)
@@ -114,18 +105,20 @@ class SolverConfig:
     def dtype(self):
         return np.dtype(_PRECISION_DTYPES[self.precision])
 
-    @property
+    # the three below are read on every solve; a cached_property keeps its
+    # value in the instance's __dict__, which a frozen dataclass leaves open
+    @functools.cached_property
     def periodic_axes(self) -> tuple:
         return tuple(
             ax for ax, g in enumerate(self.grids) if g.bc is BoundaryCondition.PERIODIC
         )
 
-    @property
+    @functools.cached_property
     def mode(self) -> str:
         """"uniform" when all axes share one row, "mixed" otherwise."""
         return "uniform" if len({(g.bc, g.kind) for g in self.grids}) == 1 else "mixed"
 
-    @property
+    @functools.cached_property
     def singular(self) -> bool:
         """True when the constant mode lies in the operator's null space."""
         return all(g.bc is not BoundaryCondition.DIRICHLET for g in self.grids)
@@ -256,11 +249,11 @@ class SolverPlan:
             g.bc is BoundaryCondition.NEUMANN and g.kind is GridKind.REGULAR
             for g in config.grids
         )
-        if self.config.singular:
-            self._null_scale = math.prod(
-                _ONES_NULL_COEFF[pair.forward](g.n)
-                for g, pair in zip(config.grids, self._pairs)
-            )
+        # the null coefficient is a weighted sum of the rhs whose weights add
+        # up to 1 / backward_scale over the real axes and to N over the
+        # periodic ones (irfftn applies that 1/N itself): this scale turns it
+        # into the removed mean
+        self._mean_scale = backward_scale / math.prod(self._periodic_lengths)
 
     def describe(self) -> PlanDescription:
         """Per axis: row, transform pair, FFT length and its largest prime
@@ -343,7 +336,7 @@ class SolverPlan:
         t1 = time.perf_counter()
         if self.config.singular:
             coeff = work[(0,) * work.ndim]
-            report.removed_mean = float(np.real(coeff)) / self._null_scale
+            report.removed_mean = float(np.real(coeff)) * self._mean_scale
         work *= self._inv_lam
         t2 = time.perf_counter()
         if self._periodic_axes:

@@ -14,9 +14,10 @@ import numpy as np
 from scipy import fft as _sfft
 
 from .eigenvalues import eigenvalue_table
-from .grid import Approximation, BoundaryCondition, GridKind, GridSpec
+from .grid import Approximation, GridSpec
 from .solver import SolverConfig, SolverPlan
 from .transforms import (
+    _PAIR_TABLE,
     TransformKind,
     TransformPlan,
     naive_transform,
@@ -33,26 +34,15 @@ from .verify import (
     stencil_matrix_1d,
 )
 
-SUPPORTED_ROWS = (
-    (BoundaryCondition.PERIODIC, GridKind.REGULAR),
-    (BoundaryCondition.DIRICHLET, GridKind.REGULAR),
-    (BoundaryCondition.DIRICHLET, GridKind.STAGGERED),
-    (BoundaryCondition.NEUMANN, GridKind.REGULAR),
-    (BoundaryCondition.NEUMANN, GridKind.STAGGERED),
-)
-
 
 def run_suites(bc=None, kind=None, approximation=None, seed=0, threads=1):
+    # the supported rows are those with a transform pair, in the table's order
     rows = [
         (b, k)
-        for b, k in SUPPORTED_ROWS
+        for b, k in _PAIR_TABLE
         if (bc is None or b is bc) and (kind is None or k is kind)
     ]
-    approximations = [
-        a
-        for a in (Approximation.PSEUDO_SPECTRAL, Approximation.FINITE_DIFFERENCE_2)
-        if approximation is None or a is approximation
-    ]
+    approximations = [a for a in Approximation if approximation is None or a is approximation]
     rng = np.random.default_rng(seed)
     results = []
     for b, k in rows:

@@ -207,6 +207,13 @@ def test_verify_fault_injection_fails(tmp_path, monkeypatch):
     (["solve", "--in", "rhs.json", "--length", "inf,1", "--bc", "dirichlet"], 2, "L=inf"),
     (["demo-flow", "--case", "channel", "--cells", "4,4", "--length", "1e300,1", "--steps", "1"],
      2, "out of float64 range"),
+    (["solve", "--in", "rhs.json", "--out", "rhs.json"], 3, "File exists"),
+    (["solve", "--in", "rhs.json", "--out", "rhs.json/x"], 3, "Not a directory"),
+    (["solve", "--in", "nonfinite.json"], 3, "non-finite"),
+    (["verify", "--bc", "dirichlet", "--out", "rhs.json/x.json"], 3, "File exists"),
+    (["verify", "--bc", "dirichlet", "--out", "."], 3, "Is a directory"),
+    (["demo-flow", "--cells", "4", "--steps", "1", "--out", "rhs.json"], 3, "File exists"),
+    (["demo-flow", "--cells", "4", "--steps", "1", "--out", "rhs.json/x"], 3, "Not a directory"),
 ], ids=["bench-sizes-not-int", "bench-sizes-zero", "bench-reps-zero", "bench-seed-negative",
         "bench-size-flag", "bench-format-version-flag", "verify-bc-unknown", "verify-grid-unknown",
         "verify-approx-unknown", "verify-seed-negative", "verify-threads-negative",
@@ -217,15 +224,20 @@ def test_verify_fault_injection_fails(tmp_path, monkeypatch):
         "flow-cells-trailing-comma",
         "flow-steps-negative", "flow-snapshot-every-negative",
         "flow-threads-flag", "flow-seed-flag", "flow-tg-length", "flow-tg-forcing",
-        "flow-forcing-nan", "solve-length-inf", "flow-length-spacing-overflow"])
+        "flow-forcing-nan", "solve-length-inf", "flow-length-spacing-overflow",
+        "solve-out-is-file", "solve-out-under-file", "solve-nonfinite-input",
+        "verify-out-under-file", "verify-out-is-directory", "flow-out-is-file",
+        "flow-out-under-file"])
 def test_bad_flag_exits_2_with_message(args, code, message, tmp_path, monkeypatch, capsys):
     """Bad input exits with its documented code and a message, never a
     traceback; argparse's own rejections exit 2 through ``SystemExit``.
     The ``bench-*`` rows keep the old sweep's bad inputs: with the
-    subcommand gone, each is rejected as an unknown command."""
+    subcommand gone, each is rejected as an unknown command.  An output
+    path the OS refuses, whichever ``OSError`` it raises, exits 3."""
     monkeypatch.chdir(tmp_path)
     write_field(tmp_path / "rhs", np.ones((4, 4)))  # a valid ``rhs.json``
-    if args[0] in ("solve", "demo-flow"):
+    write_field(tmp_path / "nonfinite", np.full((4, 4), np.nan))
+    if args[0] in ("solve", "demo-flow") and "--out" not in args:
         args = args + ["--out", str(tmp_path / "out")]
     try:
         exit_code = main(args)
@@ -293,6 +305,161 @@ def test_property_solve_bc_and_length_lists(bcs, lengths):
     # a non-finite length is a configuration error, never a solve
     if lengths and any(entry.strip() in ("inf", "nan") for entry in lengths):
         assert code == 2, (lengths, err)
+
+
+# -- whole command lines and mutated headers ------------------------------------
+#
+# Each property draws a whole command line (or a whole field header) and
+# checks the contract of ``main``: a documented exit code, a message with any
+# failure, and no traceback.  Paths are named by placeholders that resolve in
+# a fresh directory per example, so ``--in`` and ``--out`` reach missing files,
+# directories, existing files and paths below a file.
+
+
+def assert_exit_contract(code, err):
+    assert code in range(6), (code, err)
+    assert code == 0 or err.strip(), code
+    assert "Traceback" not in err
+
+
+_PATHS = ("{rhs}", "{new}", "{dir}", "{file}", "{under_file}", "{missing}", "{nonfinite}")
+
+
+def fuzz_workspace(root):
+    """The files a fuzzed command line may name, by placeholder."""
+    root = Path(root)
+    (root / "dir").mkdir()
+    (root / "file.txt").write_text("not a field\n")
+    write_field(root / "nonfinite", np.full((4, 4), np.inf))
+    return {"rhs": write_field(root / "rhs", np.ones((4, 4))), "new": root / "out",
+            "dir": root / "dir", "file": root / "file.txt",
+            "under_file": root / "file.txt" / "out", "missing": root / "missing.json",
+            "nonfinite": root / "nonfinite.json"}
+
+
+def command_lines(subcommand, required, flags):
+    """``subcommand``, the ``required`` tokens, then up to six flags drawn
+    from ``flags`` (flag -> values), each given as two tokens or with the
+    value glued on by '=', or stray tokens; a later flag overrides."""
+    items = [(flag, value) for flag, values in flags.items() for value in values]
+    items += [(f"{flag}={value}",) for flag, value in items]
+    items += [("--nope",), ("stray",), ("--",), ("-h",)]
+    drawn = st.lists(st.sampled_from(items), max_size=6)
+    return drawn.map(lambda picks: [subcommand, *required, *(t for pick in picks for t in pick)])
+
+
+def run_in_workspace(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = fuzz_workspace(tmp)
+        return run_cli([token.format_map(paths) for token in argv])
+
+
+_SOLVE_FLAGS = {
+    "--in": _PATHS,
+    "--out": _PATHS,
+    "--bc": ("periodic", "dirichlet,neumann", "neumann", "Periodic", "", "periodic,,dirichlet"),
+    "--grid": ("regular", "staggered", "staggered,regular", "bogus"),
+    "--length": ("1", "2,0.5", "0", "-1", "inf", "1e-300", "x"),
+    "--approx": ("fd2", "spectral", "nope"),
+    "--precision": ("double", "single", "half"),
+    "--threads": ("1", "2", "0", "-1", "x"),
+}
+_VERIFY_FLAGS = {
+    "--out": _PATHS,
+    "--bc": ("periodic", "dirichlet", "neumann", "foo"),
+    "--grid": ("regular", "staggered", "x"),
+    "--approx": ("fd2", "spectral", "x"),
+    "--seed": ("0", "3", "-1", "x"),
+    "--threads": ("1", "2", "0", "x"),
+}
+_FLOW_FLAGS = {
+    "--out": _PATHS,
+    "--case": ("taylor-green", "channel", "x"),
+    "--cells": ("4", "4,6", "6,4", "1", "8,,8", "x"),
+    "--length": ("1,1", "2,1", "0,1", "inf,1", "1e300,1", "1"),
+    "--nu": ("0", "0.01", "-1", "nan", "1e308"),
+    "--dt": ("0.01", "0", "-1", "inf", "1e300"),
+    "--steps": ("0", "1", "2", "-1", "x"),
+    "--forcing": ("0", "1", "nan"),
+    "--snapshot-every": ("0", "1", "-1"),
+}
+
+
+@settings(max_examples=120, deadline=None)
+@given(argv=command_lines("solve", ("--in", "{rhs}", "--out", "{new}"), _SOLVE_FLAGS))
+def test_property_solve_command_line(argv):
+    assert_exit_contract(*run_in_workspace(argv))
+
+
+@settings(max_examples=80, deadline=None)
+@given(argv=command_lines("verify", ("--bc", "dirichlet"), _VERIFY_FLAGS))
+def test_property_verify_command_line(argv):
+    assert_exit_contract(*run_in_workspace(argv))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # some draws blow up on purpose
+@settings(max_examples=100, deadline=None)
+@given(argv=command_lines("demo-flow", ("--cells", "4", "--steps", "1", "--out", "{new}"),
+                          _FLOW_FLAGS))
+def test_property_demo_flow_command_line(argv):
+    assert_exit_contract(*run_in_workspace(argv))
+
+
+_JSON_VALUES = (None, True, 0, -1, 4, 1.5, float("inf"), float("nan"), 10 ** 30, "x", "",
+                "periodic", [], [4], [4, 4], [4, 4, 4], {}, {"n": 4})
+_PAYLOADS = ("..", "../rhs.bin", "sub/../rhs.bin", "rhs\u0000.bin", "rhs.bin\u0000", "",
+             ".", "rhs.bin/..", "./rhs.bin", "a/rhs.bin", "/rhs.bin")
+_HEADER_KEYS = ("format_version", "dims", "extents", "grids", "precision", "byte_order",
+                "order", "payload")
+_GRID_KEYS = ("n", "length", "bc", "kind")
+_MUTATIONS = st.one_of(
+    st.tuples(st.just("drop"), st.sampled_from(_HEADER_KEYS)),
+    st.tuples(st.just("set"), st.sampled_from(_HEADER_KEYS), st.sampled_from(_JSON_VALUES)),
+    st.tuples(st.just("set"), st.just("payload"), st.sampled_from(_PAYLOADS)),
+    st.tuples(st.just("grid-drop"), st.integers(0, 2), st.sampled_from(_GRID_KEYS)),
+    st.tuples(st.just("grid-set"), st.integers(0, 2), st.sampled_from(_GRID_KEYS),
+              st.sampled_from(_JSON_VALUES)),
+    st.tuples(st.just("grid-replace"), st.integers(0, 2), st.sampled_from(_JSON_VALUES)),
+)
+
+
+def mutate_header(header, mutation):
+    kind, *rest = mutation
+    grids = header.get("grids")
+    if kind == "drop":
+        header.pop(rest[0], None)
+    elif kind == "set":
+        header[rest[0]] = rest[1]
+    elif not isinstance(grids, list) or rest[0] >= len(grids):
+        return
+    elif kind == "grid-replace":
+        grids[rest[0]] = rest[1]
+    elif isinstance(grids[rest[0]], dict):
+        if kind == "grid-drop":
+            grids[rest[0]].pop(rest[1], None)
+        else:
+            grids[rest[0]][rest[1]] = rest[2]
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutations=st.lists(_MUTATIONS, min_size=1, max_size=3))
+def test_property_mutated_header(mutations):
+    # the header lies one directory down, with a payload-sized file above it
+    # that a header must not reach
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        header_path = write_field(root / "sub" / "rhs", np.arange(16.0).reshape(4, 4) - 7.5,
+                                  (GridSpec(4, 1.0, BC.PERIODIC), GridSpec(4, 2.0, BC.PERIODIC)))
+        (root / "rhs.bin").write_bytes((header_path.parent / "rhs.bin").read_bytes())
+        header = json.loads(header_path.read_text())
+        for mutation in mutations:
+            mutate_header(header, mutation)
+        header_path.write_text(json.dumps(header))
+        code, err = run_cli(["solve", "--in", str(header_path), "--out", str(root / "out")])
+    assert_exit_contract(code, err)
+    payload = header.get("payload")
+    if isinstance(payload, str) and (payload.startswith(("..", "/"))):
+        assert code == 3, (payload, err)
 
 
 def test_demo_flow_taylor_green_series(tmp_path):

@@ -104,9 +104,11 @@ def test_unsupported_dtype_rejected(tmp_path):
     {"grids": "x"},
     {"extents": [2**62 + 4, 4], "dims": 2},  # the product wraps to 16 in int64
     {"precision": ["double"]},
+    {"payload": "f\u0000.bin"},
+    {"grids": [{"n": float("inf"), "length": 1.0, "bc": "periodic", "kind": "regular"}]},
 ], ids=["absolute-payload", "parent-payload", "nested-parent-payload", "negative-extents",
         "string-extents", "float-extent", "grid-entry-not-object", "grids-not-list",
-        "extents-overflow", "precision-not-string"])
+        "extents-overflow", "precision-not-string", "nul-in-payload", "grid-n-infinite"])
 def test_unsafe_or_malformed_header_rejected(update, tmp_path):
     outside = tmp_path / "outside.bin"
     outside.write_bytes(np.zeros(16).tobytes())
