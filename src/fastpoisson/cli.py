@@ -178,10 +178,10 @@ def cmd_solve(args) -> int:
     t_plan = time.perf_counter()
     plan = SolverPlan(config, threads=args.threads)
     plan_seconds = time.perf_counter() - t_plan
-    solution, report = plan.solve(rhs)
-
+    # a refused --out fails before the solve; a bad flag (exit 2) fails first
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
+    solution, report = plan.solve(rhs)
     sol_header = write_field(outdir / "solution", solution, grids)
     report_path = outdir / "report.json"
     with open(report_path, "w") as fh:
@@ -209,6 +209,11 @@ def cmd_solve(args) -> int:
 def cmd_verify(args) -> int:
     if args.seed < 0:
         raise ConfigurationError(f"--seed must be non-negative, got {args.seed}")
+    if args.threads < 1:
+        raise ConfigurationError(f"threads must be at least 1, got {args.threads}")
+    # a refused --out fails before the checks run
+    if args.out:
+        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     results = verifysuite.run_suites(
         bc=BoundaryCondition(args.bc) if args.bc else None,
         kind=GridKind(args.grid) if args.grid else None,
@@ -225,7 +230,6 @@ def cmd_verify(args) -> int:
     text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
     if args.out:
         outpath = Path(args.out)
-        outpath.parent.mkdir(parents=True, exist_ok=True)
         outpath.write_text(text)
         _write_manifest(outpath.parent, args, [outpath])
     else:

@@ -28,9 +28,11 @@ array a plan keeps between solves is the inverse of the eigenvalues (with the
 backward normalization folded in), on that half when an axis is periodic: the
 per-axis tables are cut to the half before they are summed into it, and it is
 inverted in place (a single-precision plan then casts it once).  The real
-transforms run in place on the solve's own working copy.  A solve thus holds
-about one copy of the field plus the half spectrum; with ``out=None`` the
-array of the last backward pass is returned.
+transforms run in place on the solve's own working copy; only a mixed plan
+gathers the lines of a non-contiguous real axis into a contiguous copy,
+transforms them there and scatters them back.  A solve thus holds about one
+copy of the field (two while lines are gathered) plus the half spectrum; with
+``out=None`` the array of the last backward pass is returned.
 
 Plans are immutable after construction and ``solve`` allocates its workspace
 per call, so concurrent solves on one shared plan (with distinct buffers) are
@@ -55,7 +57,7 @@ from .grid import (
     GridKind,
     GridSpec,
 )
-from .reorder import ReorderPlan, gather_lines, make_buffer, scatter_lines
+from .reorder import gather_lines, scatter_lines
 from .transforms import (
     TransformPlan,
     largest_prime_factor,
@@ -160,9 +162,10 @@ class AxisDescription:
 class WorkspaceDescription:
     """Bytes of the arrays a solve allocates, by part: the working copy (the
     returned solution when ``out`` is not given), the half spectrum of the
-    periodic axes, the line buffer of the reorder pass, and the largest
-    temporary of a matrix-method axis.  The parts are not all alive at once:
-    a solve's allocation peak lies between the working copy and their sum."""
+    periodic axes, the line buffer (the copy a mixed plan gathers with a
+    non-contiguous real axis moved last), and the largest temporary of a
+    matrix-method axis.  The parts are not all alive at once: a solve's
+    allocation peak lies between the working copy and their sum."""
 
     working_copy: int
     half_spectrum: int
@@ -226,19 +229,18 @@ class SolverPlan:
         self._real_axes = tuple(
             ax for ax in range(config.dims) if ax not in self._periodic_axes
         )
+        # mixed solves run real transforms one axis at a time; lines along
+        # a non-contiguous axis go through the gather/scatter reorder pass,
+        # whose line buffer the plans transform along its last axis
         last = config.dims - 1
+        self._reorder = frozenset(
+            ax for ax in self._real_axes if config.mode == "mixed" and ax != last
+        )
         self._forward = {}
         self._backward = {}
-        self._reorder = {}
         for ax in self._real_axes:
             g, pair = config.grids[ax], self._pairs[ax]
-            # mixed solves run real transforms one axis at a time; lines along
-            # a non-contiguous axis go through the gather/scatter reorder pass,
-            # whose line buffer the plans transform along its last axis
-            line_axis = ax
-            if config.mode == "mixed" and ax != last:
-                self._reorder[ax] = ReorderPlan(self.shape, ax)
-                line_axis = -1
+            line_axis = -1 if ax in self._reorder else ax
             self._forward[ax] = TransformPlan(pair.forward, g.n, axis=line_axis,
                                               workers=self.threads)
             self._backward[ax] = TransformPlan(pair.backward, g.n, axis=line_axis,
@@ -277,16 +279,14 @@ class SolverPlan:
     def _workspace(self) -> WorkspaceDescription:
         itemsize = self.dtype.itemsize
         field_bytes = math.prod(self.shape) * itemsize
-        spectrum_bytes = 0
-        if self._periodic_axes:
-            half = list(self.shape)
-            half[self._periodic_axes[-1]] = half[self._periodic_axes[-1]] // 2 + 1
-            spectrum_bytes = math.prod(half) * 2 * itemsize  # complex
-        # a reordered axis is transformed in the line buffer, the others in place
+        # the half spectrum is complex, of the inverse eigenvalues' shape
+        spectrum_bytes = self._inv_lam.size * 2 * itemsize if self._periodic_axes else 0
+        # a reordered axis is transformed in the line buffer, which has that
+        # axis moved last; the others in place
         temporary_bytes = max(
             (self._forward[ax].temporary_bytes(
-                self._reorder[ax].buffer_shape if ax in self._reorder else self.shape,
-                self.dtype)
+                self.shape[:ax] + self.shape[ax + 1:] + self.shape[ax:ax + 1]
+                if ax in self._reorder else self.shape, self.dtype)
              for ax in self._real_axes),
             default=0,
         )
@@ -303,10 +303,14 @@ class SolverPlan:
         sub-blocks of larger allocations, and may alias each other.  Returns
         ``(solution, report)``; ``rhs`` is preserved unless ``out`` aliases it.
         Without ``out`` the solution is a fresh C-contiguous array in the
-        plan's precision.
+        plan's precision.  A complex or non-numeric ``rhs``, or an ``out``
+        the plan's dtype cannot be cast into, raises ``TypeError``.
         """
         t_enter = time.perf_counter()
         rhs_arr = np.asarray(rhs)
+        # the copies below would cast a complex rhs or an integer out silently
+        if rhs_arr.dtype.kind not in "biuf":
+            raise TypeError(f"rhs dtype {rhs_arr.dtype} is not real")
         if rhs_arr.shape != self.shape:
             raise ValueError(f"rhs extents {rhs_arr.shape} do not match plan extents {self.shape}")
         if not np.isfinite(rhs_arr).all():
@@ -318,6 +322,8 @@ class SolverPlan:
                 raise ValueError(
                     f"solution extents {out_arr.shape} do not match plan extents {self.shape}"
                 )
+            if not np.can_cast(self.dtype, out_arr.dtype, "same_kind"):
+                raise TypeError(f"out dtype {out_arr.dtype} cannot take a {self.dtype} solution")
 
         report = SolveReport(mode=self.config.mode, periodic_axes=self._periodic_axes)
         # the one working copy; every pass below rebinds ``work`` in this frame
@@ -363,11 +369,7 @@ class SolverPlan:
     def _real_transform(self, work, ax, forward):
         """Transform ``work`` (owned by the solve) in place along one real axis."""
         plan = self._forward[ax] if forward else self._backward[ax]
-        rplan = self._reorder.get(ax)
-        if rplan is None:
+        if ax not in self._reorder:
             return plan.execute_real(work, overwrite_x=True)
-        buf = make_buffer(rplan, dtype=work.dtype)
-        gather_lines(rplan, work, buf)
-        buf = plan.execute_real(buf, overwrite_x=True)
-        scatter_lines(rplan, buf, work)
+        scatter_lines(plan.execute_real(gather_lines(work, ax), overwrite_x=True), work, ax)
         return work

@@ -250,6 +250,23 @@ def test_bad_flag_exits_2_with_message(args, code, message, tmp_path, monkeypatc
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("args,message", [
+    (["solve", "--in", "rhs.json", "--out", "rhs.json/x"], "Not a directory"),
+    (["verify", "--bc", "dirichlet", "--out", "rhs.json/x.json"], "File exists"),
+], ids=["solve-out-under-file", "verify-out-under-file"])
+def test_refused_out_exits_3_before_the_work(args, message, tmp_path, monkeypatch, capsys):
+    """An output path the OS refuses exits 3 before the solve or the checks run."""
+    def fail(*_args, **_kwargs):
+        raise AssertionError("ran before --out was created")
+
+    monkeypatch.setattr(SolverPlan, "solve", fail)
+    monkeypatch.setattr(verifysuite, "run_suites", fail)
+    monkeypatch.chdir(tmp_path)
+    write_field(tmp_path / "rhs", np.ones((4, 4)))
+    assert main(args) == 3
+    assert message in capsys.readouterr().err
+
+
 def run_cli(argv):
     """Exit code and stderr of one run; argparse's rejections exit through
     ``SystemExit``, and any other exception propagates (a traceback)."""
