@@ -13,12 +13,15 @@ import csv
 import dataclasses
 import json
 import math
+import os
+import platform
 import sys
 import time
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .fieldio import FieldFormatError, read_field, write_field
@@ -157,6 +160,11 @@ def _write_manifest(outdir: Path, args, outputs):
         "outputs": [str(o) for o in outputs],
         "library_version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
+        # the environment, under the key names of bench/run.py's results
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "cpu_count": os.cpu_count(),
     }
     path = outdir / "manifest.json"
     with open(path, "w") as fh:
@@ -188,8 +196,6 @@ def cmd_solve(args) -> int:
         json.dump(
             {
                 "removed_mean": report.removed_mean,
-                "mode": report.mode,
-                "periodic_axes": list(report.periodic_axes),
                 "timing_seconds": report.timing,
                 "plan_seconds": plan_seconds,
                 "plan": dataclasses.asdict(plan.describe()),

@@ -35,14 +35,17 @@ def grid_to_dict(spec: GridSpec) -> dict:
     }
 
 
+def _is_int(value) -> bool:
+    # JSON true/false load as bool, which Python counts as an int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def grid_from_dict(d: dict) -> GridSpec:
     try:
-        return GridSpec(
-            int(d["n"]),
-            float(d["length"]),
-            BoundaryCondition(d["bc"]),
-            GridKind(d["kind"]),
-        )
+        n, length = d["n"], d["length"]
+        if not (_is_int(n) and (_is_int(length) or isinstance(length, float))):
+            raise TypeError("n must be an integer and length a number")
+        return GridSpec(n, float(length), BoundaryCondition(d["bc"]), GridKind(d["kind"]))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FieldFormatError(f"bad grid entry {d!r}: {exc}") from exc
 
@@ -99,14 +102,12 @@ def read_field(header_path):
     if dtype is None:
         raise FieldFormatError(f"{header_path}: unsupported precision {precision!r}")
     extents = header["extents"]
-    if not isinstance(extents, list) or not all(
-        isinstance(e, int) and not isinstance(e, bool) and e >= 0 for e in extents
-    ):
+    if not isinstance(extents, list) or not all(_is_int(e) and e >= 0 for e in extents):
         raise FieldFormatError(
             f"{header_path}: extents must be a list of non-negative integers, got {extents!r}"
         )
     extents = tuple(extents)
-    if len(extents) != header["dims"]:
+    if not _is_int(header["dims"]) or len(extents) != header["dims"]:
         raise FieldFormatError(f"{header_path}: dims {header['dims']} != extents rank {len(extents)}")
     payload_path = _payload_path(header_path, header["payload"])
     raw = payload_path.read_bytes()

@@ -1,16 +1,11 @@
 """Plan/execute Poisson solver: forward transforms, eigenvalue division, backward transforms.
 
 A :class:`SolverPlan` is built once from a :class:`SolverConfig` and then
-executes any number of solves.  Supported configurations are
-
-* uniform: every axis carries the same boundary-condition/grid row, or
-* mixed: any number of periodic axes combined with non-periodic axes that all
-  carry one identical row (the classic case: periodic streamwise directions
-  with a wall-normal Dirichlet or Neumann axis).
-
-Axis roles are free: periodic axes may sit anywhere; the plan records which
-axes it treats as periodic.  Arrays use C (row-major) order throughout; the
-last axis is the contiguous one.
+executes any number of solves.  Each axis carries any of the five
+boundary-condition/grid rows, in any order: an axis's transform pair follows
+from its own row alone, so every pattern runs through one pipeline (transform
+each axis, divide by the summed eigenvalues, transform back).  Arrays use C
+(row-major) order throughout; the last axis is the contiguous one.
 
 Singular configurations (every axis periodic or Neumann) are handled by
 zeroing the null-mode coefficient, the one at index (0, .., 0) of every
@@ -27,12 +22,14 @@ spectrum holds only the Hermitian half of the last periodic axis.  The one
 array a plan keeps between solves is the inverse of the eigenvalues (with the
 backward normalization folded in), on that half when an axis is periodic: the
 per-axis tables are cut to the half before they are summed into it, and it is
-inverted in place (a single-precision plan then casts it once).  The real
-transforms run in place on the solve's own working copy; only a mixed plan
-gathers the lines of a non-contiguous real axis into a contiguous copy,
-transforms them there and scatters them back.  A solve thus holds about one
-copy of the field (two while lines are gathered) plus the half spectrum; with
-``out=None`` the array of the last backward pass is returned.
+inverted in place (a single-precision plan then casts it once; a grid whose
+inverse eigenvalues over- or underflow that precision is rejected).  The real
+transforms run in place on the solve's own working copy; only a plan with a
+periodic axis gathers the lines of a non-contiguous real axis into a
+contiguous copy, transforms them there and scatters them back.  A solve thus
+holds about one copy of the field (two while lines are gathered) plus the
+half spectrum; with ``out=None`` the array of the last backward pass is
+returned.
 
 Plans are immutable after construction and ``solve`` allocates its workspace
 per call, so concurrent solves on one shared plan (with distinct buffers) are
@@ -86,14 +83,6 @@ class SolverConfig:
             raise ConfigurationError(
                 f"precision must be one of {sorted(_PRECISION_DTYPES)}, got {self.precision!r}"
             )
-        nonperiodic_rows = {
-            (g.bc, g.kind) for g in grids if g.bc is not BoundaryCondition.PERIODIC
-        }
-        if len(nonperiodic_rows) > 1:
-            raise ConfigurationError(
-                "unsupported boundary pattern: non-periodic axes must all carry the "
-                f"same condition and grid kind, got {sorted((b.value, k.value) for b, k in nonperiodic_rows)}"
-            )
 
     @property
     def dims(self) -> int:
@@ -107,18 +96,13 @@ class SolverConfig:
     def dtype(self):
         return np.dtype(_PRECISION_DTYPES[self.precision])
 
-    # the three below are read on every solve; a cached_property keeps its
+    # the two below are read on every solve; a cached_property keeps its
     # value in the instance's __dict__, which a frozen dataclass leaves open
     @functools.cached_property
     def periodic_axes(self) -> tuple:
         return tuple(
             ax for ax, g in enumerate(self.grids) if g.bc is BoundaryCondition.PERIODIC
         )
-
-    @functools.cached_property
-    def mode(self) -> str:
-        """"uniform" when all axes share one row, "mixed" otherwise."""
-        return "uniform" if len({(g.bc, g.kind) for g in self.grids}) == 1 else "mixed"
 
     @functools.cached_property
     def singular(self) -> bool:
@@ -136,8 +120,6 @@ class SolveReport:
     """
 
     removed_mean: float = 0.0
-    mode: str = "uniform"
-    periodic_axes: tuple = ()
     timing: dict = dataclass_field(default_factory=dict)
 
 
@@ -162,10 +144,10 @@ class AxisDescription:
 class WorkspaceDescription:
     """Bytes of the arrays a solve allocates, by part: the working copy (the
     returned solution when ``out`` is not given), the half spectrum of the
-    periodic axes, the line buffer (the copy a mixed plan gathers with a
-    non-contiguous real axis moved last), and the largest temporary of a
-    matrix-method axis.  The parts are not all alive at once: a solve's
-    allocation peak lies between the working copy and their sum."""
+    periodic axes, the line buffer (the copy a plan with a periodic axis
+    gathers with a non-contiguous real axis moved last), and the largest
+    temporary of a matrix-method axis.  The parts are not all alive at once:
+    a solve's allocation peak lies between the working copy and their sum."""
 
     working_copy: int
     half_spectrum: int
@@ -215,26 +197,35 @@ class SolverPlan:
         # sign, becomes +0.0), and carries the backward normalization of the
         # real-transform pairs; the periodic axes need none, as irfftn applies
         # 1/N itself.  The combined array is the plan's own, so it is
-        # inverted in place.
+        # inverted in place.  An inverse that over- or underflows the
+        # precision would give NaN or zero solutions, so it is refused.
         backward_scale = math.prod(
             pair.backward_scale(g.n) for g, pair in zip(config.grids, self._pairs)
         )
-        np.divide(backward_scale, inv, out=inv, where=inv != 0.0)
-        if config.singular:
-            inv[(0,) * config.dims] = 0.0
-        self._inv_lam = inv.astype(self.dtype, copy=False)
+        try:
+            with np.errstate(over="raise", under="raise"):
+                np.divide(backward_scale, inv, out=inv, where=inv != 0.0)
+                if config.singular:
+                    inv[(0,) * config.dims] = 0.0
+                self._inv_lam = inv.astype(self.dtype, copy=False)
+        except FloatingPointError as exc:
+            raise ConfigurationError(
+                f"the inverse eigenvalues of this grid do not fit {config.precision} "
+                f"precision ({exc})"
+            ) from None
 
         self._periodic_axes = config.periodic_axes
         self._periodic_lengths = tuple(self.shape[ax] for ax in self._periodic_axes)
         self._real_axes = tuple(
             ax for ax in range(config.dims) if ax not in self._periodic_axes
         )
-        # mixed solves run real transforms one axis at a time; lines along
-        # a non-contiguous axis go through the gather/scatter reorder pass,
-        # whose line buffer the plans transform along its last axis
+        # with a periodic axis, lines along a non-contiguous real axis go
+        # through the gather/scatter reorder pass, whose line buffer the
+        # plans transform along its last axis.  The rule stays only because
+        # the benchmark pins the duct3d gathers (ROADMAP items 1 and 2).
         last = config.dims - 1
         self._reorder = frozenset(
-            ax for ax in self._real_axes if config.mode == "mixed" and ax != last
+            ax for ax in self._real_axes if self._periodic_axes and ax != last
         )
         self._forward = {}
         self._backward = {}
@@ -325,7 +316,7 @@ class SolverPlan:
             if not np.can_cast(self.dtype, out_arr.dtype, "same_kind"):
                 raise TypeError(f"out dtype {out_arr.dtype} cannot take a {self.dtype} solution")
 
-        report = SolveReport(mode=self.config.mode, periodic_axes=self._periodic_axes)
+        report = SolveReport()
         # the one working copy; every pass below rebinds ``work`` in this frame
         # so that the array it replaces is freed as soon as the pass returns.
         # An all-periodic plan copies too, though rfftn could read rhs as it

@@ -4,12 +4,15 @@ import csv
 import inspect
 import io
 import json
+import os
+import platform
 import re
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings, strategies as st
 
 from fastpoisson import cli, verifysuite
@@ -30,6 +33,13 @@ def rhs_file(tmp_path, rng):
     return write_field(tmp_path / "rhs", rng.standard_normal((12, 10)), grids)
 
 
+def assert_environment_recorded(manifest):
+    # the key names of bench/run.py's environment record
+    assert manifest["python"] == platform.python_version()
+    assert (manifest["numpy"], manifest["scipy"]) == (np.__version__, scipy.__version__)
+    assert manifest["cpu_count"] == os.cpu_count()
+
+
 def test_solve_writes_outputs_and_manifest(rhs_file, tmp_path):
     out = tmp_path / "run"
     assert main(["solve", "--in", str(rhs_file), "--out", str(out)]) == 0
@@ -37,8 +47,7 @@ def test_solve_writes_outputs_and_manifest(rhs_file, tmp_path):
     assert solution.shape == (12, 10)
     assert grids[0].bc is BC.NEUMANN
     report = json.loads((out / "report.json").read_text())
-    assert set(report) == {"removed_mean", "mode", "periodic_axes", "timing_seconds",
-                           "plan_seconds", "plan"}
+    assert set(report) == {"removed_mean", "timing_seconds", "plan_seconds", "plan"}
     assert report["plan_seconds"] > 0.0
     assert set(report["plan"]) == {"axes", "dtype", "workspace", "resident_bytes"}
     assert report["plan"]["dtype"] == "float64"
@@ -54,6 +63,7 @@ def test_solve_writes_outputs_and_manifest(rhs_file, tmp_path):
     assert manifest["library_version"]
     assert "seed" not in manifest and "seed" not in manifest["configuration"]
     assert any("solution" in o for o in manifest["outputs"])
+    assert_environment_recorded(manifest)
 
 
 def test_solve_reruns_byte_identical(rhs_file, tmp_path):
@@ -107,6 +117,16 @@ def test_solve_report_describes_plan(tmp_path, rng):
     assert plan["resident_bytes"] == 52 * 255 * 4
 
 
+def test_solve_two_different_wall_rows(tmp_path, rng):
+    header = write_field(tmp_path / "r", rng.standard_normal((6, 5)))
+    out = tmp_path / "out"
+    assert main(["solve", "--in", str(header), "--bc", "dirichlet,neumann",
+                 "--grid", "regular,staggered", "--out", str(out)]) == 0
+    plan = json.loads((out / "report.json").read_text())["plan"]
+    assert [(a["bc"], a["grid"], a["forward"], a["backward"]) for a in plan["axes"]] == [
+        ("dirichlet", "regular", "dst1", "dst1"), ("neumann", "staggered", "dct2", "dct3")]
+
+
 def test_solve_missing_input_exits_3(tmp_path):
     assert main(["solve", "--in", str(tmp_path / "nope.json"), "--out", str(tmp_path / "x")]) == 3
 
@@ -126,6 +146,9 @@ def test_verify_filtered_run(tmp_path):
     assert summary["passed"] is True
     rows = {(c["bc"], c["grid"]) for c in summary["cases"]}
     assert rows == {("dirichlet", "staggered")}
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["subcommand"] == "verify"
+    assert_environment_recorded(manifest)
 
 
 def test_verify_covers_all_rows_and_approximations(tmp_path):
@@ -205,6 +228,8 @@ def test_verify_fault_injection_fails(tmp_path, monkeypatch):
     (["demo-flow", "--case", "channel", "--cells", "8,6", "--forcing", "nan", "--steps", "2"],
      2, "--forcing"),
     (["solve", "--in", "rhs.json", "--length", "inf,1", "--bc", "dirichlet"], 2, "L=inf"),
+    (["solve", "--in", "rhs.json", "--precision", "single", "--length", "1e25,1e25",
+      "--bc", "dirichlet"], 2, "single precision"),
     (["demo-flow", "--case", "channel", "--cells", "4,4", "--length", "1e300,1", "--steps", "1"],
      2, "out of float64 range"),
     (["solve", "--in", "rhs.json", "--out", "rhs.json"], 3, "File exists"),
@@ -224,7 +249,8 @@ def test_verify_fault_injection_fails(tmp_path, monkeypatch):
         "flow-cells-trailing-comma",
         "flow-steps-negative", "flow-snapshot-every-negative",
         "flow-threads-flag", "flow-seed-flag", "flow-tg-length", "flow-tg-forcing",
-        "flow-forcing-nan", "solve-length-inf", "flow-length-spacing-overflow",
+        "flow-forcing-nan", "solve-length-inf", "solve-single-inverse-overflow",
+        "flow-length-spacing-overflow",
         "solve-out-is-file", "solve-out-under-file", "solve-nonfinite-input",
         "verify-out-under-file", "verify-out-is-directory", "flow-out-is-file",
         "flow-out-under-file"])
@@ -531,6 +557,7 @@ def test_manifest_written_for_demo(tmp_path):
     assert manifest["subcommand"] == "demo-flow"
     assert manifest["configuration"]["dt"] == 0.01
     assert "series.csv" in " ".join(manifest["outputs"])
+    assert_environment_recorded(manifest)
 
 
 def test_every_flag_is_read_by_its_command():

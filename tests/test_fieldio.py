@@ -106,9 +106,19 @@ def test_unsupported_dtype_rejected(tmp_path):
     {"precision": ["double"]},
     {"payload": "f\u0000.bin"},
     {"grids": [{"n": float("inf"), "length": 1.0, "bc": "periodic", "kind": "regular"}]},
+    # values that int() or float() would turn into a valid grid, or that
+    # compare equal to the extents' rank
+    {"grids": [{"n": 16.7, "length": 1.0, "bc": "periodic", "kind": "regular"}]},
+    {"grids": [{"n": "16", "length": 1.0, "bc": "periodic", "kind": "regular"}]},
+    {"grids": [{"n": 16, "length": "2.5", "bc": "periodic", "kind": "regular"}]},
+    {"grids": [{"n": 16, "length": True, "bc": "periodic", "kind": "regular"}]},
+    {"dims": 1.0},
+    {"dims": True},
 ], ids=["absolute-payload", "parent-payload", "nested-parent-payload", "negative-extents",
         "string-extents", "float-extent", "grid-entry-not-object", "grids-not-list",
-        "extents-overflow", "precision-not-string", "nul-in-payload", "grid-n-infinite"])
+        "extents-overflow", "precision-not-string", "nul-in-payload", "grid-n-infinite",
+        "grid-n-float", "grid-n-string", "grid-length-string", "grid-length-bool",
+        "dims-float", "dims-bool"])
 def test_unsafe_or_malformed_header_rejected(update, tmp_path):
     outside = tmp_path / "outside.bin"
     outside.write_bytes(np.zeros(16).tobytes())

@@ -45,22 +45,35 @@ def uniform_config(bc, kind, shape, approx=AP.FINITE_DIFFERENCE_2, lengths=None)
 # -- configuration validation ---------------------------------------------------
 
 
-def test_config_rejects_differing_nonperiodic_rows():
+# non-periodic axes take any rows: each axis's transform pair follows from its
+# own row, so these patterns run through the same pipeline as any other
+def test_config_accepts_differing_nonperiodic_rows(rng):
     grids = (
         GridSpec(4, 1.0, BC.DIRICHLET, GK.REGULAR),
-        GridSpec(4, 1.0, BC.NEUMANN, GK.STAGGERED),
+        GridSpec(5, 1.5, BC.NEUMANN, GK.STAGGERED),
     )
-    with pytest.raises(ConfigurationError):
-        SolverConfig(grids, AP.FINITE_DIFFERENCE_2)
+    config = SolverConfig(grids, AP.FINITE_DIFFERENCE_2)
+    assert config.periodic_axes == () and not config.singular
+    plan = SolverPlan(config)
+    assert [(a.bc, a.grid, a.forward) for a in plan.describe().axes] == [
+        ("dirichlet", "regular", "dst1"), ("neumann", "staggered", "dct2")]
+    rhs = rng.standard_normal(config.shape)
+    ref = dense_oracle_solve(config, rhs)
+    assert np.abs(plan.solve(rhs)[0] - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
-def test_config_rejects_mixed_kind_same_bc():
+def test_config_accepts_mixed_kind_same_bc(rng):
     grids = (
         GridSpec(4, 1.0, BC.DIRICHLET, GK.REGULAR),
-        GridSpec(4, 1.0, BC.DIRICHLET, GK.STAGGERED),
+        GridSpec(5, 1.5, BC.DIRICHLET, GK.STAGGERED),
     )
-    with pytest.raises(ConfigurationError):
-        SolverConfig(grids, AP.FINITE_DIFFERENCE_2)
+    config = SolverConfig(grids, AP.FINITE_DIFFERENCE_2)
+    plan = SolverPlan(config)
+    assert [(a.grid, a.forward) for a in plan.describe().axes] == [
+        ("regular", "dst1"), ("staggered", "dst2")]
+    rhs = rng.standard_normal(config.shape)
+    ref = dense_oracle_solve(config, rhs)
+    assert np.abs(plan.solve(rhs)[0] - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_config_accepts_periodic_anywhere():
@@ -70,16 +83,17 @@ def test_config_accepts_periodic_anywhere():
         GridSpec(6, 1.0, BC.PERIODIC, GK.REGULAR),
     )
     config = SolverConfig(grids, AP.FINITE_DIFFERENCE_2)
-    assert config.mode == "mixed"
     assert config.periodic_axes == (1,)
 
 
 def test_config_three_axis_patterns():
     per = GridSpec(4, 1.0, BC.PERIODIC, GK.REGULAR)
     neu = GridSpec(4, 1.0, BC.NEUMANN, GK.STAGGERED)
-    assert SolverConfig((per, per, neu), AP.FINITE_DIFFERENCE_2).mode == "mixed"
-    assert SolverConfig((per, neu, neu), AP.FINITE_DIFFERENCE_2).mode == "mixed"
-    assert SolverConfig((per, per, per), AP.FINITE_DIFFERENCE_2).mode == "uniform"
+    dirichlet = GridSpec(4, 1.0, BC.DIRICHLET, GK.REGULAR)
+    for grids, periodic_axes in [((per, per, neu), (0, 1)), ((per, neu, neu), (0,)),
+                                 ((per, per, per), (0, 1, 2)), ((neu, per, dirichlet), (1,)),
+                                 ((dirichlet, neu, neu), ())]:
+        assert SolverConfig(grids, AP.FINITE_DIFFERENCE_2).periodic_axes == periodic_axes
 
 
 def test_config_dimension_limits():
@@ -101,7 +115,6 @@ def test_config_precision_values():
 def test_plan_create_populates_tables():
     config = uniform_config(BC.PERIODIC, GK.REGULAR, (4, 4, 4), AP.PSEUDO_SPECTRAL)
     plan = SolverPlan(config)
-    assert plan.config.mode == "uniform"
     # the inverse eigenvalues on the half spectrum of the last periodic axis,
     # with the one null mode at the origin set to zero
     assert plan._inv_lam.shape == (4, 4, 3)
@@ -369,24 +382,32 @@ def test_describe_is_frozen_and_json_ready():
 # -- mixed-boundary paths ---------------------------------------------------------
 
 
-@pytest.mark.parametrize("zrow", [(BC.DIRICHLET, GK.REGULAR), (BC.DIRICHLET, GK.STAGGERED),
-                                  (BC.NEUMANN, GK.REGULAR), (BC.NEUMANN, GK.STAGGERED)],
-                         ids=["dir-reg", "dir-stag", "neu-reg", "neu-stag"])
+_WALL_ROWS = {"dir-reg": (BC.DIRICHLET, GK.REGULAR), "dir-stag": (BC.DIRICHLET, GK.STAGGERED),
+              "neu-reg": (BC.NEUMANN, GK.REGULAR), "neu-stag": (BC.NEUMANN, GK.STAGGERED)}
+# a periodic x with each wall row in z (ids: the z row), then every pair of
+# two different wall rows (ids: x row, then z row)
+_PRODUCT_ROWS = {
+    **{zid: ((BC.PERIODIC, GK.REGULAR), zrow) for zid, zrow in _WALL_ROWS.items()},
+    **{f"{xid}-x-{zid}": (xrow, zrow) for xid, xrow in _WALL_ROWS.items()
+       for zid, zrow in _WALL_ROWS.items() if xid != zid},
+}
+
+
+@pytest.mark.parametrize("rows", list(_PRODUCT_ROWS.values()), ids=list(_PRODUCT_ROWS))
 @pytest.mark.parametrize("approx", [AP.PSEUDO_SPECTRAL, AP.FINITE_DIFFERENCE_2])
-def test_mixed_product_mode(zrow, approx):
-    zbc, zkind = zrow
-    gx = GridSpec(8, 2.0, BC.PERIODIC, GK.REGULAR)
+def test_mixed_product_mode(rows, approx):
+    (xbc, xkind), (zbc, zkind) = rows
+    gx = GridSpec(8, 2.0, xbc, xkind)
     gz = GridSpec(6, 1.0, zbc, zkind)
     plan = SolverPlan(SolverConfig((gx, gz), approx))
     lx = eigenvalue_table(gx, approx)
     lz = eigenvalue_table(gz, approx)
     kx, kz = 2, 3
-    vx = np.cos(2 * np.pi * kx * np.arange(8) / 8)
+    vx = basis_vector(gx, kx).real
     vz = basis_vector(gz, kz)
     mode = vx[:, None] * vz[None, :]
     rhs = (lx[kx] + lz[kz]) * mode
-    sol, report = plan.solve(rhs)
-    assert report.mode == "mixed"
+    sol, _ = plan.solve(rhs)
     assert np.abs(sol - mode).max() <= 1e-12 * np.abs(mode).max()
 
 
@@ -430,8 +451,7 @@ def test_mixed_permuted_axis_roles(rng):
     workspace = plan.describe().workspace
     assert workspace.line_buffer == workspace.working_copy == 5 * 6 * 8
     rhs = rng.standard_normal((5, 6))
-    sol, report = plan.solve(rhs)
-    assert report.periodic_axes == (1,)
+    sol, _ = plan.solve(rhs)
     ref = dense_oracle_solve(config, rhs)
     assert np.abs(sol - ref).max() <= 1e-9 * np.abs(ref).max()
 
@@ -449,6 +469,20 @@ def test_plan_rejects_threads_below_one():
     for threads in (0, -3):
         with pytest.raises(ConfigurationError, match="threads must be at least 1"):
             SolverPlan(config, threads=threads)
+
+
+@pytest.mark.parametrize("length", [1e25, 1e-25], ids=["overflow", "underflow"])
+def test_plan_rejects_inverse_eigenvalues_outside_precision(length):
+    # in float32 the inverse eigenvalues (about L^2) leave the range; float64
+    # still holds them, and its plan solves the problem
+    grids = (GridSpec(8, length, BC.DIRICHLET, GK.REGULAR),) * 2
+    with pytest.raises(ConfigurationError, match="single precision"):
+        SolverPlan(SolverConfig(grids, AP.FINITE_DIFFERENCE_2, precision="single"))
+    config = SolverConfig(grids, AP.FINITE_DIFFERENCE_2)
+    rhs = np.ones(config.shape)
+    sol, _ = SolverPlan(config).solve(rhs)
+    assert np.all(np.isfinite(sol)) and np.all(sol != 0.0)
+    assert np.abs(apply_discrete_laplacian(config, sol) - rhs).max() <= 1e-12
 
 
 # -- discrete Laplacian aid -------------------------------------------------------
@@ -654,30 +688,33 @@ def test_pocketfft_lengths_take_pocketfft(bc, kind):
 
 @st.composite
 def fd2_configs(draw, approximations=(AP.FINITE_DIFFERENCE_2,), precisions=("double",)):
-    """1-3D configs over all five rows and mixed periodic/wall patterns, with
-    lengths 1, 2 and primes among them; FD2 in double precision unless other
-    approximations or precisions are given to draw from.  One wall axis, at
-    any position, may take a length from ``POCKETFFT_LENGTHS`` instead; the
-    other axes then keep the grid at 1000 points or fewer."""
-    bc, kind = draw(st.sampled_from(ROWS))
+    """1-3D configs whose axes each draw one of the five rows, in any
+    combination and order, with lengths 1, 2 and primes among them; FD2 in
+    double precision unless other approximations or precisions are given to
+    draw from.  One wall axis may take a length from ``POCKETFFT_LENGTHS``
+    instead; the other axes then keep the grid at 1000 points or fewer, and a
+    Neumann-regular axis that no longer fits turns periodic."""
     dims = draw(st.integers(1, 3))
+    rows = [draw(st.sampled_from(ROWS)) for _ in range(dims)]
+    walls = [ax for ax, (bc, _) in enumerate(rows) if bc is not BC.PERIODIC]
     pocket_axis, budget = None, 13 ** 3  # points the other axes may multiply to
-    if bc is not BC.PERIODIC and draw(st.booleans()):
-        pocket_axis = draw(st.integers(0, dims - 1))
-        pocket_n = draw(st.sampled_from(POCKETFFT_LENGTHS[bc, kind]))
+    if walls and draw(st.booleans()):
+        pocket_axis = draw(st.sampled_from(walls))
+        pocket_n = draw(st.sampled_from(POCKETFFT_LENGTHS[rows[pocket_axis]]))
         budget = 1000 // pocket_n
-    fewest = 2 if (bc, kind) == (BC.NEUMANN, GK.REGULAR) else 1  # DCT-I needs two points
     grids = []
-    for ax in range(dims):
+    for ax, (bc, kind) in enumerate(rows):
         length = draw(st.floats(0.5, 3.0))
         if ax == pocket_axis:
             grids.append(GridSpec(pocket_n, length, bc, kind))
             continue
-        wall = bc is not BC.PERIODIC and budget >= fewest and not draw(st.booleans())
+        if (bc, kind) == (BC.NEUMANN, GK.REGULAR) and budget < 2:  # DCT-I needs two points
+            bc, kind = BC.PERIODIC, GK.REGULAR
+        fewest = 2 if (bc, kind) == (BC.NEUMANN, GK.REGULAR) else 1
         n = draw(st.sampled_from([n for n in (1, 2, 3, 4, 5, 7, 8, 11, 13)
-                                  if (fewest if wall else 1) <= n <= budget]))
+                                  if fewest <= n <= budget]))
         budget //= n
-        grids.append(GridSpec(n, length, bc, kind) if wall else periodic(n, length))
+        grids.append(GridSpec(n, length, bc, kind))
     return SolverConfig(tuple(grids), draw(st.sampled_from(approximations)),
                         precision=draw(st.sampled_from(precisions)))
 
