@@ -189,7 +189,10 @@ def cmd_solve(args) -> int:
     # a refused --out fails before the solve; a bad flag (exit 2) fails first
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    solution, report = plan.solve(rhs)
+    try:
+        solution, report = plan.solve(rhs)
+    except ValueError as exc:  # a finite field whose transform overflows
+        raise FieldFormatError(f"{args.input}: {exc}") from None
     sol_header = write_field(outdir / "solution", solution, grids)
     report_path = outdir / "report.json"
     with open(report_path, "w") as fh:

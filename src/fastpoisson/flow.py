@@ -37,27 +37,37 @@ one of two operators: ``_forward`` pairs entry i+1 with entry i and writes
 at i (faces to cells), ``_backward`` pairs entry i with entry i-1 and writes
 at i (cells to faces).  They own the closure of the axis.  Periodically, one
 ufunc call pairs offset views of the flattened arrays and a second one
-writes the line where the wrap lands, with no shifted copy (``np.roll``); the
-slices come from a small cache keyed on the shape and the axis.  Between
-walls, the pair is a plain slice: the forward result is one entry shorter,
-and the backward result one entry longer with its wall faces zero.  Each
-entry is the same IEEE operation on the same operands as in the rolled
-stencil, so the results are bit-identical to it.  The terms and a step write
-only into arrays they allocate, so arrays that a caller took from
-``flow.velocity`` or ``flow.pressure`` keep their values.
+writes the line where the wrap lands, with no shifted copy (``np.roll``).
+Between walls, the pair is a plain slice: the forward result is one entry
+shorter, and the backward result one entry longer with its wall faces zero.
+Each entry is the same IEEE operation on the same operands as in the rolled
+stencil, so the results are bit-identical to it.
 
-The flow keeps no workspace between steps, only its state.  Within a step,
-each stage's working arrays are freed when the stage's helpers return, and a
-term reuses its own scratch where shapes agree.  A warm step's allocation
-peak is about eleven fields on a periodic grid: the state (3), the previous
-and the current tendency (2 + 2) and a term's working set (4).
+The operators do not compute: they bind ufunc calls on fixed views, and the
+four terms (``advective_term``, ``viscous_term``, ``gradient`` and
+``divergence``) are the lists of such calls, bound once per workspace and
+operands and then replayed.  Called on their own, the terms bind on a
+one-shot workspace, run once and return new arrays.  A flow's workspace is
+built by its first step, not by ``ProjectionFlow.__init__``, and rebuilt when
+the velocity's shapes, walls, lengths or viscosity change.  It holds
+thirteen fields on a periodic grid: a copy of the state (u, w, p: 3), the
+tendency h and the previous stage's h scaled by the next zeta weight
+(2 + 2), the predictor u* (2), and four scratch fields that the terms and
+psi share, as their lifetimes do not overlap.  Each buffer
+is as long as the w grid, one row of faces longer than u with walls.  A step
+copies the velocity and the pressure in, so a caller may replace or edit
+them between steps, and its last stage writes the new state into new
+arrays: arrays that a caller took from ``flow.velocity`` or
+``flow.pressure`` keep their values.  A warm step's allocation peak is then
+about three fields, the new state.
 """
 
 from __future__ import annotations
 
-import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial, wraps
 
 import numpy as np
 
@@ -93,8 +103,10 @@ class StaggeredVelocity:
             )
         if self.z_walls and nz < 2:
             raise ValueError(f"walls in z need at least two cells between them, got {nz}")
-        if self.nu < 0:
-            raise ValueError("viscosity must be non-negative")
+        if not 0.0 <= self.nu < math.inf:
+            raise ValueError(f"viscosity must be finite and non-negative, got {self.nu}")
+        if not all(0.0 < length < math.inf for length in self.lengths):
+            raise ValueError(f"lengths must be finite and positive, got {self.lengths}")
 
     @classmethod
     def zeros(cls, cells, lengths, nu, z_walls=False) -> "StaggeredVelocity":
@@ -123,154 +135,194 @@ class PressureField:
         return cls(np.zeros(cells))
 
 
-def _new(a, shape=None, reuse=None):
-    """Uninitialized C-contiguous array for a difference of ``a``: ``a``'s
-    dtype when it is inexact, else float64 (as true division would give).
-    ``reuse`` is returned instead when it already has that shape and dtype."""
-    dtype = a.dtype if a.dtype.kind in "fc" else np.float64
-    shape = a.shape if shape is None else shape
-    if reuse is not None and reuse.shape == shape and reuse.dtype == dtype:
-        return reuse
-    return np.empty(shape, dtype)
+class _Workspace:
+    """Flat buffers for the terms of one grid layout, and the term calls bound
+    on views of them.
 
-
-@functools.lru_cache(maxsize=64)
-def _pairing(shape, axis):
-    """The index expressions that pair entry i+1 with entry i along ``axis``
-    of a 2D array of ``shape``: as flat slices one line apart, then the
-    first and the last line (where the periodic wrap lands), then as plain
-    slices (the wall closure)."""
-    step = shape[1] if axis == 0 else 1
-    size = shape[0] * shape[1]
-    lead = (slice(None),) * axis
-    return (slice(step, size), slice(0, size - step), lead + (0,), lead + (-1,),
-            lead + (slice(1, None),), lead + (slice(0, shape[axis] - 1),),
-            lead + (slice(1, -1),))
-
-
-def _pair(op, a, b, axis, out, walls, forward):
-    """``op(a[i+1], b[i])`` written at i (``forward``) or at i+1; see
-    ``_forward`` and ``_backward``."""
-    after, before, first, last, upper, lower, inner = _pairing(a.shape, axis)
-    if walls:
-        shape = list(a.shape)
-        shape[axis] += -1 if forward else 1
-        out = _new(a, tuple(shape), reuse=out)
-        if forward:
-            return op(a[upper], b[lower], out)
-        op(a[upper], b[lower], out[inner])
-        out[first] = 0.0
-        out[last] = 0.0
-        return out
-    out = _new(a, reuse=out)
-    op(a.ravel()[after], b.ravel()[before], out.ravel()[before if forward else after])
-    op(a[first], b[last], out[last if forward else first])
-    return out
-
-
-def _forward(op, a, axis, out=None, b=None, walls=False):
-    """``op(a[i+1], b[i])`` along ``axis`` at every i, periodically (``b``
-    defaults to ``a``).  With ``walls`` the axis is closed instead, and the
-    result is one entry shorter than ``a``: faces to the cells between them.
-
-    The result goes into ``out`` when that has its shape and dtype, else into
-    a new array.  A periodic pair is taken without a shifted copy: one ufunc
-    call pairs the flattened operands one line apart along ``axis`` (along
-    the last axis that also pairs the end of one row with the start of the
-    next) and a second one, on the line where the wrap lands, overwrites
-    those entries.  Each entry is the same IEEE operation on the same
-    operands as in the ``np.roll`` stencil, so the result is bit-identical to
-    it.  ``out`` is C-contiguous and shares no memory with ``a`` or ``b``.
+    ``take(name, shape)`` is a C-contiguous view at the start of buffer
+    ``name``, which is allocated on first use as long as the larger face grid.
+    Views of one name share memory, so a term takes one only where no view of
+    that name holds a value it still needs.  ``bound`` maps a term and its
+    operands to the term's calls and results (see ``_stencil``).
     """
-    return _pair(op, a, a if b is None else b, axis, out, walls, True)
+
+    def __init__(self, size, dtype):
+        self.size = size
+        self.dtype = dtype
+        self.buffers = {}
+        self.bound = {}
+
+    def take(self, name, shape):
+        buf = self.buffers.get(name)
+        if buf is None:
+            buf = self.buffers[name] = np.empty(self.size, self.dtype)
+        return buf[:math.prod(shape)].reshape(shape)
 
 
-def _backward(op, a, axis, out=None, b=None, walls=False):
-    """``op(a[i], b[i-1])`` along ``axis`` at every i, periodically; with
-    ``walls`` the result is one entry longer than ``a`` (cells to the faces
-    around them) and its two wall faces are zero.  Otherwise as
-    ``_forward``; along a wall axis ``b`` may be longer than ``a``, and its
-    first entries are used."""
-    return _pair(op, a, a if b is None else b, axis, out, walls, False)
+def _stencil(bind):
+    """Make ``bind(vel, *fields, workspace)``, which returns a term's calls
+    bound on its operands and the arrays the calls leave its results in, into
+    the term ``name(vel, *fields, workspace=None)``.
+
+    Given a workspace (the flow's, whose own arrays the operands then are),
+    the term binds on its first call for these operands and runs the bound
+    calls from then on.  Without one it binds on a one-shot workspace and runs
+    once, so its results are new arrays, of the operands' common float dtype
+    (float64 for integer operands, as true division would give).
+    """
+
+    @wraps(bind)
+    def term(vel, *fields, workspace=None):
+        ws = workspace
+        if ws is None:
+            ws = _Workspace(max(vel.u.size, vel.w.size),
+                            np.result_type(vel.u, vel.w, *fields, 1.0))
+        key = (bind, id(vel), *map(id, fields))
+        bound = ws.bound.get(key)
+        if bound is None:
+            # the entry keeps the operands, so their ids stay theirs
+            bound = ws.bound[key] = (*bind(vel, *fields, ws), (vel, fields))
+        for call in bound[0]:
+            call()
+        return bound[1]
+
+    return term
 
 
-def divergence(vel: StaggeredVelocity) -> np.ndarray:
+def _flat(a):
+    """``a`` as one line: a view, as a workspace's buffers are C-contiguous (an
+    outside call's operand that is not is copied once, at the bind, which on a
+    one-shot workspace precedes the one run)."""
+    return a.reshape(-1)
+
+
+def _forward(op, a, axis, out, b=None, walls=False):
+    """The calls that write ``op(a[i+1], b[i])`` into ``out`` at every i along
+    ``axis``, periodically (``b`` defaults to ``a``).  With ``walls`` the axis
+    is closed instead, and ``out`` is one entry shorter than ``a``: faces to
+    the cells between them.
+
+    A periodic pair takes no shifted copy: one ufunc call pairs the flattened
+    operands one line apart along ``axis`` (along the last axis that also
+    pairs the end of one row with the start of the next) and a second one, on
+    the line where the wrap lands, overwrites those entries.  Each entry is
+    the same IEEE operation on the same operands as in the ``np.roll`` stencil,
+    so the result is bit-identical to it.  ``out`` shares no memory with ``a``
+    or ``b``.
+    """
+    b = a if b is None else b
+    lead = (slice(None),) * axis
+    if walls:
+        return [partial(op, a[lead + (slice(1, None),)],
+                        b[lead + (slice(0, a.shape[axis] - 1),)], out)]
+    step = a.shape[1] if axis == 0 else 1
+    return [partial(op, _flat(a)[step:], _flat(b)[:-step], _flat(out)[:-step]),
+            partial(op, a[lead + (0,)], b[lead + (-1,)], out[lead + (-1,)])]
+
+
+def _backward(op, a, axis, out, b=None, walls=False):
+    """The calls that write ``op(a[i], b[i-1])`` into ``out`` at every i along
+    ``axis``, periodically; with ``walls`` ``out`` is one entry longer than
+    ``a`` (cells to the faces around them) and its two wall faces are set to
+    zero.  Otherwise as ``_forward``; along a wall axis ``b`` may be longer
+    than ``a``, and its first entries are used."""
+    b = a if b is None else b
+    lead = (slice(None),) * axis
+    if walls:
+        return [partial(op, a[lead + (slice(1, None),)],
+                        b[lead + (slice(0, a.shape[axis] - 1),)], out[lead + (slice(1, -1),)]),
+                partial(out[lead + (0,)].fill, 0.0), partial(out[lead + (-1,)].fill, 0.0)]
+    step = a.shape[1] if axis == 0 else 1
+    return [partial(op, _flat(a)[step:], _flat(b)[:-step], _flat(out)[step:]),
+            partial(op, a[lead + (0,)], b[lead + (-1,)], out[lead + (0,)])]
+
+
+def _inplace(op, a, c):
+    """The call for ``a op= c``."""
+    return partial(op, a, c, a)
+
+
+# The terms below name their buffers: s0-s3 are scratch, and the advective
+# term leaves its results in hu and hw, where a step completes the tendency h.
+
+@_stencil
+def divergence(vel: StaggeredVelocity, workspace=None) -> np.ndarray:
     """Cell-centered divergence: sum over axes of face differences / spacing."""
     dx, dz = vel.spacing
-    div = _forward(np.subtract, vel.u, 0)
-    div /= dx
-    dw = _forward(np.subtract, vel.w, 1, walls=vel.z_walls)
-    dw /= dz
-    div += dw
-    return div
+    div, dw = workspace.take("s0", vel.cells), workspace.take("s1", vel.cells)
+    return [*_forward(np.subtract, vel.u, 0, div), _inplace(np.divide, div, dx),
+            *_forward(np.subtract, vel.w, 1, dw, walls=vel.z_walls), _inplace(np.divide, dw, dz),
+            _inplace(np.add, div, dw)], div
 
 
-def gradient(vel: StaggeredVelocity, scalar: np.ndarray):
+@_stencil
+def gradient(vel: StaggeredVelocity, scalar: np.ndarray, workspace=None):
     """Cell-centered scalar -> face-centered gradient components.
 
     Wall z-faces get gradient zero (Neumann pressure condition), which keeps
     pinned wall velocities untouched by the corrector.
     """
     dx, dz = vel.spacing
-    gx = _backward(np.subtract, scalar, 0)
-    gx /= dx
-    gz = _backward(np.subtract, scalar, 1, walls=vel.z_walls)
-    gz /= dz
-    return gx, gz
+    gx, gz = workspace.take("s2", vel.u.shape), workspace.take("s3", vel.w.shape)
+    return [*_backward(np.subtract, scalar, 0, gx), _inplace(np.divide, gx, dx),
+            *_backward(np.subtract, scalar, 1, gz, walls=vel.z_walls),
+            _inplace(np.divide, gz, dz)], (gx, gz)
 
 
-def _corner_flux(vel: StaggeredVelocity) -> np.ndarray:
-    """u*w interpolated to cell corners (where neither component lives); on
-    the walls, where w is zero, the corner value is zero."""
-    wc = _backward(np.add, vel.w, 0)
-    wc *= 0.5
-    uc = _backward(np.add, vel.u, 1, walls=vel.z_walls)
-    uc *= 0.5
-    uc *= wc
-    return uc
+def _corner_flux(vel, workspace):
+    """The calls that leave u*w interpolated to cell corners (where neither
+    component lives) in s0, and the corner array; on the walls, where w is
+    zero, the corner value is zero.  They also use s1."""
+    wc, uc = workspace.take("s1", vel.w.shape), workspace.take("s0", vel.w.shape)
+    return [*_backward(np.add, vel.w, 0, wc), _inplace(np.multiply, wc, 0.5),
+            *_backward(np.add, vel.u, 1, uc, walls=vel.z_walls), _inplace(np.multiply, uc, 0.5),
+            _inplace(np.multiply, uc, wc)], uc
 
 
-def advective_term(vel: StaggeredVelocity):
+@_stencil
+def advective_term(vel: StaggeredVelocity, workspace=None):
     """-div(u (x) u) on each face grid, second-order conservative form."""
     dx, dz = vel.spacing
     u, w, walls = vel.u, vel.w, vel.z_walls
-    corner = _corner_flux(vel)
+    calls, corner = _corner_flux(vel, workspace)
+    au, aw = workspace.take("hu", u.shape), workspace.take("hw", w.shape)
+    # u at cell centers, halved and squared below; the differences of the
+    # corner flux and of w at cell centers reuse it, as all are (nx, nz)
+    fxx = workspace.take("s2", vel.cells)
 
     # u momentum: -(d(uu)/dx + d(wu)/dz) at x-faces
-    fxx = _forward(np.add, u, 0)  # u at cell centers, halved and squared below
-    fxx *= 0.5
-    fxx *= fxx
-    au = _backward(np.subtract, fxx, 0)
-    au /= -dx
-    dcz = _forward(np.subtract, corner, 1, fxx, walls=walls)
-    dcz /= dz
-    au -= dcz
+    calls += [*_forward(np.add, u, 0, fxx), _inplace(np.multiply, fxx, 0.5),
+              _inplace(np.multiply, fxx, fxx),
+              *_backward(np.subtract, fxx, 0, au), _inplace(np.divide, au, -dx),
+              *_forward(np.subtract, corner, 1, fxx, walls=walls), _inplace(np.divide, fxx, dz),
+              _inplace(np.subtract, au, fxx)]
 
-    # w momentum: -(d(uw)/dx + d(ww)/dz) at z-faces
-    fzz = _forward(np.add, w, 1, fxx, walls=walls)  # w at cell centers, (nx, nz)
-    fzz *= 0.5
-    fzz *= fzz
-    aw = _backward(np.subtract, fzz, 1, walls=walls)
-    aw /= -dz
-    # fzz is spent; the corner difference reuses it where the shapes agree
-    dcx = _forward(np.subtract, corner, 0, fzz)
-    dcx /= dx
-    aw -= dcx
+    # w momentum: -(d(uw)/dx + d(ww)/dz) at z-faces; w's corner average is
+    # spent, and its buffer takes the corner difference
+    dcx = workspace.take("s1", w.shape)
+    calls += [*_forward(np.add, w, 1, fxx, walls=walls), _inplace(np.multiply, fxx, 0.5),
+              _inplace(np.multiply, fxx, fxx),
+              *_backward(np.subtract, fxx, 1, aw, walls=walls), _inplace(np.divide, aw, -dz),
+              *_forward(np.subtract, corner, 0, dcx), _inplace(np.divide, dcx, dx),
+              _inplace(np.subtract, aw, dcx)]
     if walls:
-        aw[:, 0] = 0.0
-        aw[:, -1] = 0.0
-    return au, aw
+        calls += [partial(aw[:, 0].fill, 0.0), partial(aw[:, -1].fill, 0.0)]
+    return calls, (au, aw)
 
 
-def _second_difference(a, twice, axis, out, walls=False):
-    """``a[i+1] - twice[i] + a[i-1]`` along ``axis``, with ``twice`` = 2 a;
-    ``out`` may be ``twice`` but no other operand.  With ``walls`` the two
-    wall entries are zero."""
-    diff = _forward(np.subtract, a, axis, b=twice, walls=walls)
-    return _backward(np.add, diff, axis, out, b=a, walls=walls)
+def _second_difference(a, twice, axis, out, workspace, walls=False):
+    """The calls for ``a[i+1] - twice[i] + a[i-1]`` along ``axis`` into
+    ``out``, with ``twice`` = 2 a, through s1; ``out`` may be ``twice`` but no
+    other operand.  With ``walls`` the two wall entries are zero."""
+    shape = list(a.shape)
+    shape[axis] -= walls
+    diff = workspace.take("s1", shape)
+    return [*_forward(np.subtract, a, axis, diff, b=twice, walls=walls),
+            *_backward(np.add, diff, axis, out, b=a, walls=walls)]
 
 
-def viscous_term(vel: StaggeredVelocity):
+@_stencil
+def viscous_term(vel: StaggeredVelocity, workspace=None):
     """nu * Laplacian of each component on its own face grid.
 
     No-slip walls enter through mirrored ghosts for the tangential component
@@ -279,31 +331,50 @@ def viscous_term(vel: StaggeredVelocity):
     """
     dx, dz = vel.spacing
     u, w, walls = vel.u, vel.w, vel.z_walls
-
-    twice = np.multiply(u, 2.0, out=_new(u))
-    lu = _second_difference(u, twice, 0, _new(u))
-    lu /= dx ** 2
-    d2z = _second_difference(u, twice, 1, twice, walls)
+    lu, lw = workspace.take("s2", u.shape), workspace.take("s3", w.shape)
+    calls = []
+    for a, lap in ((u, lu), (w, lw)):
+        # 2 a, and then the second difference along z, in s0
+        twice = workspace.take("s0", a.shape)
+        calls += [partial(np.multiply, a, 2.0, twice),
+                  *_second_difference(a, twice, 0, lap, workspace),
+                  _inplace(np.divide, lap, dx ** 2),
+                  *_second_difference(a, twice, 1, twice, workspace, walls)]
+        if walls and a is u:
+            for wall, first in ((0, 1), (-1, -2)):  # ghost = -u at the wall
+                edge = twice[:, wall]
+                calls += [partial(np.multiply, u[:, wall], 3.0, edge),
+                          partial(np.subtract, u[:, first], edge, edge)]
+        calls += [_inplace(np.divide, twice, dz ** 2), _inplace(np.add, lap, twice)]
     if walls:
-        for wall, first in ((0, 1), (-1, -2)):  # ghost = -u at the wall
-            edge = np.multiply(u[:, wall], 3.0, out=d2z[:, wall])
-            np.subtract(u[:, first], edge, out=edge)
-    d2z /= dz ** 2
-    lu += d2z
+        calls += [partial(lw[:, 0].fill, 0.0), partial(lw[:, -1].fill, 0.0)]
+    calls += [_inplace(np.multiply, lu, vel.nu), _inplace(np.multiply, lw, vel.nu)]
+    return calls, (lu, lw)
 
-    # u's scratch is spent; w reuses it when the shapes agree (periodic z)
-    twice = np.multiply(w, 2.0, out=_new(w, reuse=twice))
-    lw = _second_difference(w, twice, 0, _new(w))
-    lw /= dx ** 2
-    d2z = _second_difference(w, twice, 1, twice, walls)
-    d2z /= dz ** 2
-    lw += d2z
-    if walls:
-        lw[:, 0] = 0.0
-        lw[:, -1] = 0.0
-    lu *= vel.nu
-    lw *= vel.nu
-    return lu, lw
+
+class _StepWorkspace(_Workspace):
+    """A step's workspace: copies of the state (``state`` and ``p``), the
+    tendency h (the advective term's hu and hw), the previous stage's h
+    scaled by the next zeta weight (``carry``), the predictor (``star``) and
+    the terms' scratch s0-s3, in which the projection also keeps psi (s1) and
+    the predictor its gamma term (``buf``, s0).  ``layout`` is what the terms
+    bind: the shapes, the walls, the lengths and the viscosity."""
+
+    def __init__(self, vel):
+        super().__init__(max(vel.u.size, vel.w.size), np.float64)
+        self.layout = self.layout_of(vel)
+        cells, w_shape = vel.cells, vel.w.shape
+        layout = (vel.lengths, vel.nu, vel.z_walls)
+        self.state = StaggeredVelocity(self.take("u", cells), self.take("w", w_shape), *layout)
+        self.star = StaggeredVelocity(self.take("su", cells), self.take("sw", w_shape), *layout)
+        self.p = self.take("p", cells)
+        self.carry = (self.take("cu", cells), self.take("cw", w_shape))
+        self.buf = (self.take("s0", cells), self.take("s0", w_shape))
+        self.psi = self.take("s1", cells)
+
+    @staticmethod
+    def layout_of(vel):
+        return vel.u.shape, vel.w.shape, vel.z_walls, tuple(vel.lengths), vel.nu
 
 
 class ProjectionFlow:
@@ -335,50 +406,58 @@ class ProjectionFlow:
             Approximation.FINITE_DIFFERENCE_2,
         )
         self.poisson = SolverPlan(config, threads=threads)
+        self._workspace = None  # built by the first step
 
     def rk3_step(self, dt: float) -> None:
         """Advance one full time step of size dt (three projection stages).
 
-        A stage runs as two helpers whose working arrays are freed when they
-        return: the predictor, which takes the previous stage's tendency h and
-        returns this stage's, and the projection.  The split lets the previous
-        h go before the projection allocates; between stages only the
-        velocity, the pressure and h survive.
+        The stages run in the flow's workspace, which the first step builds
+        (see the module docstring): the step copies the velocity and the
+        pressure in, and its last stage writes the new state into new arrays.
         """
-        if not dt > 0:
-            raise ValueError(f"time step must be positive, got {dt}")
-        vel = self.velocity
+        if not 0.0 < dt < math.inf:
+            raise ValueError(f"time step must be positive and finite, got {dt}")
+        vel, pres = self.velocity, self.pressure
         if not (np.isfinite(vel.u).all() and np.isfinite(vel.w).all()):
             raise FloatingPointError(
                 f"non-finite velocity entering stage 1 of step {self.step_count + 1}"
             )
+        ws = self._workspace
+        if ws is None or ws.layout != _StepWorkspace.layout_of(vel):
+            ws = self._workspace = _StepWorkspace(vel)
+        state, star = ws.state, ws.star
+        np.copyto(state.u, vel.u)
+        np.copyto(state.w, vel.w)
+        np.copyto(ws.p, pres.p)
         poisson_seconds = 0.0
-        h = None
         for k in range(3):
-            # each later stage starts from the state the after-stage check passed
-            star, h = self._predictor(k, dt, h)
+            self._predictor(ws, k, dt)
             if not (np.isfinite(star.u).all() and np.isfinite(star.w).all()):
                 raise FloatingPointError(
                     f"non-finite predictor velocity in stage {k + 1} of step {self.step_count + 1}"
                 )
-            poisson_seconds += self._project(k, dt, star)
-            if not (np.isfinite(vel.u).all() and np.isfinite(vel.w).all()):
+            # the last stage leaves the new state in new arrays: arrays a
+            # caller holds are never written
+            (u, w, p), seconds = self._project(ws, k, dt, fresh=k == 2)
+            poisson_seconds += seconds
+            if not (np.isfinite(u).all() and np.isfinite(w).all()):
                 raise FloatingPointError(
                     f"non-finite velocity after stage {k + 1} of step {self.step_count + 1}"
                 )
 
+        vel.u, vel.w, pres.p = u, w, p
         self.poisson_seconds = poisson_seconds
         self.time += dt
         self.step_count += 1
 
-    def _predictor(self, k, dt, prev_h):
+    def _predictor(self, ws, k, dt):
         """Stage k's tendency h = advection + viscosity + forcing, and the
-        predictor velocity built from it and ``prev_h``, stage k-1's h (None
-        in stage 1, whose zeta weight is zero); ``prev_h`` is scaled in place."""
-        vel = self.velocity
+        predictor velocity built from it and stage k-1's h into ``ws.star``;
+        h, scaled by stage k+1's zeta weight, is kept in ``ws.carry`` for it."""
+        state = ws.state
         fx, fz = self.forcing
-        hu, hw = advective_term(vel)
-        vu, vw = viscous_term(vel)
+        hu, hw = advective_term(state, workspace=ws)
+        vu, vw = viscous_term(state, workspace=ws)
         hu += vu
         hw += vw
         # a zero body force (Taylor-Green) adds nothing but two passes
@@ -386,41 +465,37 @@ class ProjectionFlow:
             hu += fx
         if fz != 0.0:
             hw += fz
-        if vel.z_walls:
+        if state.z_walls:
             hw[:, 0] = 0.0
             hw[:, -1] = 0.0
 
         # u* = u - alpha_k dt grad p + gamma_k dt h_k + zeta_k dt h_{k-1},
-        # evaluated in place in fresh arrays in that order of operations
-        ustar, wstar = gradient(vel, self.pressure.p)
-        for pred, h, buf, old in ((ustar, hu, vu, vel.u), (wstar, hw, vw, vel.w)):
-            pred *= -_ALPHA[k] * dt
+        # evaluated in that order of operations
+        gx, gz = gradient(state, ws.p, workspace=ws)
+        for pred, g, h, buf, old, carry in zip((ws.star.u, ws.star.w), (gx, gz), (hu, hw),
+                                               ws.buf, (state.u, state.w), ws.carry):
+            np.multiply(g, -_ALPHA[k] * dt, out=pred)
             pred += np.multiply(h, _GAMMA[k] * dt, out=buf)
             pred += old
-        if _ZETA[k] != 0.0:
-            prev_hu, prev_hw = prev_h
-            prev_hu *= dt * _ZETA[k]
-            prev_hw *= dt * _ZETA[k]
-            ustar += prev_hu
-            wstar += prev_hw
-        return StaggeredVelocity(ustar, wstar, vel.lengths, vel.nu, vel.z_walls), (hu, hw)
+            if _ZETA[k] != 0.0:
+                pred += carry
+            if k < 2:
+                np.multiply(h, dt * _ZETA[k + 1], out=carry)
 
-    def _project(self, k, dt, star):
-        """Make the predictor ``star`` divergence-free with stage k's pressure
-        correction and store it, and the corrected pressure, as the new state;
-        returns the seconds of the Poisson solve.  The solve's solution is
+    def _project(self, ws, k, dt, fresh):
+        """Make the predictor ``ws.star`` divergence-free with stage k's
+        pressure correction, into the workspace's velocity and pressure, or
+        with ``fresh`` into new arrays; returns those three arrays and the
+        seconds of the Poisson solve.  The solve's solution is
         psi = alpha_k dt phi (see the module docstring)."""
-        vel, pres = self.velocity, self.pressure
-        psi, report = self.poisson.solve(divergence(star))
-        gfx, gfz = gradient(vel, psi)
-        star.u -= gfx
-        star.w -= gfz
-        # new arrays each stage (the pressure goes into the solve's fresh
-        # solution): arrays a caller holds are never written
-        vel.u, vel.w = star.u, star.w
+        state, star, psi = ws.state, ws.star, ws.psi
+        _, report = self.poisson.solve(divergence(star, workspace=ws), out=psi)
+        gfx, gfz = gradient(state, psi, workspace=ws)
+        u = np.subtract(star.u, gfx, out=None if fresh else state.u)
+        w = np.subtract(star.w, gfz, out=None if fresh else state.w)
         psi /= _ALPHA[k] * dt
-        pres.p = np.add(pres.p, psi, out=psi)
-        return sum(report.timing.values())
+        p = np.add(ws.p, psi, out=None if fresh else ws.p)
+        return (u, w, p), sum(report.timing.values())
 
     def kinetic_energy(self) -> float:
         """0.5 * integral of |u|^2, one face volume per face value."""

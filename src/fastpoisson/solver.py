@@ -295,7 +295,10 @@ class SolverPlan:
         ``(solution, report)``; ``rhs`` is preserved unless ``out`` aliases it.
         Without ``out`` the solution is a fresh C-contiguous array in the
         plan's precision.  A complex or non-numeric ``rhs``, or an ``out``
-        the plan's dtype cannot be cast into, raises ``TypeError``.
+        the plan's dtype cannot be cast into, raises ``TypeError``.  An
+        ``rhs`` with a NaN or an infinity, or one whose forward transform
+        overflows the precision, raises ``ValueError`` before ``out`` is
+        written.
         """
         t_enter = time.perf_counter()
         rhs_arr = np.asarray(rhs)
@@ -304,8 +307,6 @@ class SolverPlan:
             raise TypeError(f"rhs dtype {rhs_arr.dtype} is not real")
         if rhs_arr.shape != self.shape:
             raise ValueError(f"rhs extents {rhs_arr.shape} do not match plan extents {self.shape}")
-        if not np.isfinite(rhs_arr).all():
-            raise ValueError("rhs contains non-finite values")
         out_arr = None
         if out is not None:
             out_arr = np.asarray(out)
@@ -331,6 +332,11 @@ class SolverPlan:
         if self._periodic_axes:
             work = _sfft.rfftn(work, axes=self._periodic_axes, workers=self.threads)
         t1 = time.perf_counter()
+        # on every row the null coefficient sums all rhs entries with strictly
+        # positive weights, so a NaN or an infinity anywhere in the rhs, or a
+        # forward pass that overflowed, leaves it non-finite
+        if not np.isfinite(work[(0,) * work.ndim]):
+            raise ValueError("rhs contains non-finite values, or its transform overflowed")
         if self.config.singular:
             coeff = work[(0,) * work.ndim]
             report.removed_mean = float(np.real(coeff)) * self._mean_scale

@@ -34,9 +34,9 @@ def stage_divergences(monkeypatch):
     seen = []
     advective_term = flow_module.advective_term
 
-    def recording(vel):
+    def recording(vel, **kwargs):
         seen.append(float(np.abs(flow_module.divergence(vel)).max()))
-        return advective_term(vel)
+        return advective_term(vel, **kwargs)
 
     monkeypatch.setattr(flow_module, "advective_term", recording)
 

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import copy
 import csv
 import inspect
 import io
@@ -293,6 +294,17 @@ def test_refused_out_exits_3_before_the_work(args, message, tmp_path, monkeypatc
     assert message in capsys.readouterr().err
 
 
+def test_solve_field_whose_transform_overflows_exits_3(tmp_path, capsys):
+    # every entry is finite, but their sum overflows single precision; the
+    # solve finds that after --out exists, and writes nothing into it
+    header = write_field(tmp_path / "huge", np.full((4, 4), 3e38, np.float32))
+    out = tmp_path / "out"
+    assert main(["solve", "--in", str(header), "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert "overflowed" in captured.err and "Traceback" not in captured.err
+    assert list(out.iterdir()) == []
+
+
 def run_cli(argv):
     """Exit code and stderr of one run; argparse's rejections exit through
     ``SystemExit``, and any other exception propagates (a traceback)."""
@@ -467,7 +479,9 @@ _MUTATIONS = st.one_of(
 
 
 def mutate_header(header, mutation):
-    kind, *rest = mutation
+    # the drawn values are shared between examples, so each is stored as a
+    # copy: mutating the header must not change them
+    kind, *rest = copy.deepcopy(mutation)
     grids = header.get("grids")
     if kind == "drop":
         header.pop(rest[0], None)

@@ -838,6 +838,40 @@ def test_property_matches_dense_oracle_in_both_precisions(config, seed):
     assert np.abs(sol - ref).max() <= tol
 
 
+# the solve checks the null coefficient for non-finite values, not the rhs:
+# on every row that coefficient sums all entries with positive weights.  The
+# product method's BLAS call warns of the NaN that an infinite entry makes.
+@pytest.mark.filterwarnings("ignore:invalid value encountered in matmul")
+@settings(max_examples=150, deadline=None)
+@given(config=fd2_configs(approximations=tuple(AP), precisions=("double", "single")),
+       seed=st.integers(0, 2**32 - 1), bad=st.sampled_from([np.nan, np.inf, -np.inf]))
+def test_property_nonfinite_rhs_entry_raises_before_out_is_written(config, seed, bad):
+    rng = np.random.default_rng(seed)
+    rhs = rng.standard_normal(config.shape)
+    rhs[tuple(int(rng.integers(n)) for n in config.shape)] = bad
+    plan = SolverPlan(config)
+    out = np.full(config.shape, 7.0, plan.dtype)
+    with pytest.raises(ValueError, match="non-finite"):
+        plan.solve(rhs, out=out)
+    assert np.all(out == 7.0)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in matmul")  # the product method
+@pytest.mark.parametrize("precision", ["double", "single"])
+@pytest.mark.parametrize("grids", [
+    (periodic(4), periodic(4)),
+    (GridSpec(5, 1.0, BC.DIRICHLET, GK.REGULAR), periodic(4)),  # the product method
+    (GridSpec(64, 1.0, BC.NEUMANN, GK.STAGGERED),),  # pocketfft's DCT-II
+], ids=["periodic", "dirichlet-product", "neumann-pocketfft"])
+def test_finite_rhs_whose_transform_overflows_raises(grids, precision):
+    # each entry is half the largest finite value; their sum is not finite
+    plan = SolverPlan(SolverConfig(grids, AP.FINITE_DIFFERENCE_2, precision=precision))
+    out = np.zeros(plan.shape, plan.dtype)
+    with pytest.raises(ValueError, match="overflowed"):
+        plan.solve(np.full(plan.shape, np.finfo(plan.dtype).max / 2, plan.dtype), out=out)
+    assert np.all(out == 0.0)
+
+
 @pytest.mark.parametrize("bc,kind", ROWS, ids=ROW_IDS)
 def test_dense_oracles_agree(bc, kind, rng):
     # the dense spectral operator differentiates a sampled band-limited
