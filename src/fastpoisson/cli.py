@@ -148,7 +148,7 @@ def _grids_from_flags(args, dims, sizes, header):
     return tuple(GridSpec(n, L, bc, kind) for n, L, bc, kind in zip(sizes, lengths, bcs, kinds))
 
 
-def _write_manifest(outdir: Path, args, outputs):
+def _write_manifest(outdir: Path, args, outputs, plan=None):
     resolved = {
         k: (str(v) if isinstance(v, Path) else v)
         for k, v in vars(args).items()
@@ -166,6 +166,8 @@ def _write_manifest(outdir: Path, args, outputs):
         "scipy": scipy.__version__,
         "cpu_count": os.cpu_count(),
     }
+    if plan is not None:
+        manifest["plan"] = dataclasses.asdict(plan.describe())
     path = outdir / "manifest.json"
     with open(path, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -273,6 +275,8 @@ def cmd_demo_flow(args) -> int:
         if not math.isfinite(forcing):
             raise ConfigurationError(f"--forcing must be finite, got {forcing}")
         lengths = _split(args.length, 2, float, "length") if args.length else (1.0, 1.0)
+        if not all(math.isfinite(length) and length > 0 for length in lengths):
+            raise ConfigurationError(f"--length must be finite and positive, got {args.length!r}")
         flow = channel(tuple(cells), tuple(lengths), nu=args.nu, forcing_x=forcing)
 
     print(
@@ -286,14 +290,17 @@ def cmd_demo_flow(args) -> int:
     series_path = outdir / "series.csv"
     with open(series_path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["step", "time", "kinetic_energy", "max_divergence", "poisson_seconds"])
-        writer.writerow([0, 0.0, flow.kinetic_energy(), flow.max_divergence(), 0.0])
+        writer.writerow(["step", "time", "kinetic_energy", "max_divergence", "poisson_seconds",
+                         "step_seconds"])
+        writer.writerow([0, 0.0, flow.kinetic_energy(), flow.max_divergence(), 0.0, 0.0])
         for step in range(1, args.steps + 1):
+            t_step = time.perf_counter()
             try:
                 flow.rk3_step(args.dt)
             except FloatingPointError as exc:
                 print(f"error: instability at step {step}: {exc}", file=sys.stderr)
                 return EXIT_UNSTABLE
+            step_seconds = time.perf_counter() - t_step
             writer.writerow(
                 [
                     step,
@@ -301,6 +308,7 @@ def cmd_demo_flow(args) -> int:
                     flow.kinetic_energy(),
                     flow.max_divergence(),
                     flow.poisson_seconds,
+                    step_seconds,
                 ]
             )
             if args.snapshot_every and step % args.snapshot_every == 0:
@@ -311,7 +319,7 @@ def cmd_demo_flow(args) -> int:
                 ):
                     outputs.append(write_field(outdir / f"{name}_{step:06d}", data))
     outputs.append(series_path)
-    _write_manifest(outdir, args, outputs)
+    _write_manifest(outdir, args, outputs, plan=flow.poisson)
     return EXIT_OK
 
 

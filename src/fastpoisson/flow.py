@@ -16,8 +16,11 @@ Stage k of the scheme reads
 with h the advective, viscous and body-force tendency.  The step folds the
 scalings into fewer passes over the fields: dt rides on the stage weights,
 and the projection solves lap psi = div u* for psi = alpha_k dt phi, subtracts
-grad psi from u* as it stands, and divides psi by alpha_k dt once, where it
-enters the pressure.  The results agree with the unfolded order to roundoff.
+grad psi from u* as it stands, and scales psi by 1 / (alpha_k dt) once, where
+it enters the pressure.  The results agree with the unfolded order to roundoff.
+No stencil divides: each scales by a reciprocal of the spacings (1/dx, 1/dz**2,
+...), taken once where its calls are bound, so an entry differs from the
+quotient by at most the rounding of that reciprocal.
 
 Geometry: axes (x, z) with cells (nx, nz).  x is always periodic.  z is either
 periodic (Taylor-Green) or closed by no-slip walls (channel); walls map to
@@ -250,8 +253,9 @@ def divergence(vel: StaggeredVelocity, workspace=None) -> np.ndarray:
     """Cell-centered divergence: sum over axes of face differences / spacing."""
     dx, dz = vel.spacing
     div, dw = workspace.take("s0", vel.cells), workspace.take("s1", vel.cells)
-    return [*_forward(np.subtract, vel.u, 0, div), _inplace(np.divide, div, dx),
-            *_forward(np.subtract, vel.w, 1, dw, walls=vel.z_walls), _inplace(np.divide, dw, dz),
+    return [*_forward(np.subtract, vel.u, 0, div), _inplace(np.multiply, div, 1.0 / dx),
+            *_forward(np.subtract, vel.w, 1, dw, walls=vel.z_walls),
+            _inplace(np.multiply, dw, 1.0 / dz),
             _inplace(np.add, div, dw)], div
 
 
@@ -264,9 +268,9 @@ def gradient(vel: StaggeredVelocity, scalar: np.ndarray, workspace=None):
     """
     dx, dz = vel.spacing
     gx, gz = workspace.take("s2", vel.u.shape), workspace.take("s3", vel.w.shape)
-    return [*_backward(np.subtract, scalar, 0, gx), _inplace(np.divide, gx, dx),
+    return [*_backward(np.subtract, scalar, 0, gx), _inplace(np.multiply, gx, 1.0 / dx),
             *_backward(np.subtract, scalar, 1, gz, walls=vel.z_walls),
-            _inplace(np.divide, gz, dz)], (gx, gz)
+            _inplace(np.multiply, gz, 1.0 / dz)], (gx, gz)
 
 
 def _corner_flux(vel, workspace):
@@ -293,8 +297,9 @@ def advective_term(vel: StaggeredVelocity, workspace=None):
     # u momentum: -(d(uu)/dx + d(wu)/dz) at x-faces
     calls += [*_forward(np.add, u, 0, fxx), _inplace(np.multiply, fxx, 0.5),
               _inplace(np.multiply, fxx, fxx),
-              *_backward(np.subtract, fxx, 0, au), _inplace(np.divide, au, -dx),
-              *_forward(np.subtract, corner, 1, fxx, walls=walls), _inplace(np.divide, fxx, dz),
+              *_backward(np.subtract, fxx, 0, au), _inplace(np.multiply, au, -1.0 / dx),
+              *_forward(np.subtract, corner, 1, fxx, walls=walls),
+              _inplace(np.multiply, fxx, 1.0 / dz),
               _inplace(np.subtract, au, fxx)]
 
     # w momentum: -(d(uw)/dx + d(ww)/dz) at z-faces; w's corner average is
@@ -302,8 +307,9 @@ def advective_term(vel: StaggeredVelocity, workspace=None):
     dcx = workspace.take("s1", w.shape)
     calls += [*_forward(np.add, w, 1, fxx, walls=walls), _inplace(np.multiply, fxx, 0.5),
               _inplace(np.multiply, fxx, fxx),
-              *_backward(np.subtract, fxx, 1, aw, walls=walls), _inplace(np.divide, aw, -dz),
-              *_forward(np.subtract, corner, 0, dcx), _inplace(np.divide, dcx, dx),
+              *_backward(np.subtract, fxx, 1, aw, walls=walls),
+              _inplace(np.multiply, aw, -1.0 / dz),
+              *_forward(np.subtract, corner, 0, dcx), _inplace(np.multiply, dcx, 1.0 / dx),
               _inplace(np.subtract, aw, dcx)]
     if walls:
         calls += [partial(aw[:, 0].fill, 0.0), partial(aw[:, -1].fill, 0.0)]
@@ -338,14 +344,14 @@ def viscous_term(vel: StaggeredVelocity, workspace=None):
         twice = workspace.take("s0", a.shape)
         calls += [partial(np.multiply, a, 2.0, twice),
                   *_second_difference(a, twice, 0, lap, workspace),
-                  _inplace(np.divide, lap, dx ** 2),
+                  _inplace(np.multiply, lap, 1.0 / dx ** 2),
                   *_second_difference(a, twice, 1, twice, workspace, walls)]
         if walls and a is u:
             for wall, first in ((0, 1), (-1, -2)):  # ghost = -u at the wall
                 edge = twice[:, wall]
                 calls += [partial(np.multiply, u[:, wall], 3.0, edge),
                           partial(np.subtract, u[:, first], edge, edge)]
-        calls += [_inplace(np.divide, twice, dz ** 2), _inplace(np.add, lap, twice)]
+        calls += [_inplace(np.multiply, twice, 1.0 / dz ** 2), _inplace(np.add, lap, twice)]
     if walls:
         calls += [partial(lw[:, 0].fill, 0.0), partial(lw[:, -1].fill, 0.0)]
     calls += [_inplace(np.multiply, lu, vel.nu), _inplace(np.multiply, lw, vel.nu)]
@@ -414,6 +420,14 @@ class ProjectionFlow:
         The stages run in the flow's workspace, which the first step builds
         (see the module docstring): the step copies the velocity and the
         pressure in, and its last stage writes the new state into new arrays.
+
+        Non-finite values raise ``FloatingPointError``, and the state is left
+        as it was.  The velocity is checked on entry and after the last stage.
+        A stage's predictor u* is checked by the pressure solve: every face of
+        u* enters div u* with weight +-1/dx or +-1/dz, and the solve refuses a
+        non-finite rhs, which the step reports as a non-finite predictor.  A
+        non-finite corrected velocity of stage 1 or 2 feeds the next
+        predictor, so it is reported as that stage's predictor.
         """
         if not 0.0 < dt < math.inf:
             raise ValueError(f"time step must be positive and finite, got {dt}")
@@ -425,25 +439,29 @@ class ProjectionFlow:
         ws = self._workspace
         if ws is None or ws.layout != _StepWorkspace.layout_of(vel):
             ws = self._workspace = _StepWorkspace(vel)
-        state, star = ws.state, ws.star
+        state = ws.state
         np.copyto(state.u, vel.u)
         np.copyto(state.w, vel.w)
         np.copyto(ws.p, pres.p)
         poisson_seconds = 0.0
-        for k in range(3):
-            self._predictor(ws, k, dt)
-            if not (np.isfinite(star.u).all() and np.isfinite(star.w).all()):
-                raise FloatingPointError(
-                    f"non-finite predictor velocity in stage {k + 1} of step {self.step_count + 1}"
-                )
-            # the last stage leaves the new state in new arrays: arrays a
-            # caller holds are never written
-            (u, w, p), seconds = self._project(ws, k, dt, fresh=k == 2)
-            poisson_seconds += seconds
-            if not (np.isfinite(u).all() and np.isfinite(w).all()):
-                raise FloatingPointError(
-                    f"non-finite velocity after stage {k + 1} of step {self.step_count + 1}"
-                )
+        # a non-finite value is reported by the checks below, not by numpy
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(3):
+                self._predictor(ws, k, dt)
+                # the last stage leaves the new state in new arrays: arrays a
+                # caller holds are never written
+                try:
+                    (u, w, p), seconds = self._project(ws, k, dt, fresh=k == 2)
+                except ValueError as exc:  # the solve refuses a non-finite div u*
+                    raise FloatingPointError(
+                        f"non-finite predictor velocity in stage {k + 1} "
+                        f"of step {self.step_count + 1}"
+                    ) from exc
+                poisson_seconds += seconds
+        if not (np.isfinite(u).all() and np.isfinite(w).all()):
+            raise FloatingPointError(
+                f"non-finite velocity after stage 3 of step {self.step_count + 1}"
+            )
 
         vel.u, vel.w, pres.p = u, w, p
         self.poisson_seconds = poisson_seconds
@@ -493,7 +511,7 @@ class ProjectionFlow:
         gfx, gfz = gradient(state, psi, workspace=ws)
         u = np.subtract(star.u, gfx, out=None if fresh else state.u)
         w = np.subtract(star.w, gfz, out=None if fresh else state.w)
-        psi /= _ALPHA[k] * dt
+        psi *= 1.0 / (_ALPHA[k] * dt)
         p = np.add(ws.p, psi, out=None if fresh else ws.p)
         return (u, w, p), sum(report.timing.values())
 

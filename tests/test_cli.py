@@ -233,6 +233,14 @@ def test_verify_fault_injection_fails(tmp_path, monkeypatch):
       "--bc", "dirichlet"], 2, "single precision"),
     (["demo-flow", "--case", "channel", "--cells", "4,4", "--length", "1e300,1", "--steps", "1"],
      2, "out of float64 range"),
+    (["demo-flow", "--case", "channel", "--cells", "4,4", "--length", "0,1", "--steps", "1"],
+     2, "--length"),
+    (["demo-flow", "--case", "channel", "--cells", "4,4", "--length=-1,1", "--steps", "1"],
+     2, "--length"),
+    (["demo-flow", "--case", "channel", "--cells", "4,4", "--length", "nan,1", "--steps", "1"],
+     2, "--length"),
+    (["demo-flow", "--case", "channel", "--cells", "4,4", "--length", "1,inf", "--steps", "1"],
+     2, "--length"),
     (["solve", "--in", "rhs.json", "--out", "rhs.json"], 3, "File exists"),
     (["solve", "--in", "rhs.json", "--out", "rhs.json/x"], 3, "Not a directory"),
     (["solve", "--in", "nonfinite.json"], 3, "non-finite"),
@@ -251,7 +259,8 @@ def test_verify_fault_injection_fails(tmp_path, monkeypatch):
         "flow-steps-negative", "flow-snapshot-every-negative",
         "flow-threads-flag", "flow-seed-flag", "flow-tg-length", "flow-tg-forcing",
         "flow-forcing-nan", "solve-length-inf", "solve-single-inverse-overflow",
-        "flow-length-spacing-overflow",
+        "flow-length-spacing-overflow", "flow-length-zero", "flow-length-negative",
+        "flow-length-nan", "flow-length-inf",
         "solve-out-is-file", "solve-out-under-file", "solve-nonfinite-input",
         "verify-out-under-file", "verify-out-is-directory", "flow-out-is-file",
         "flow-out-under-file"])
@@ -537,6 +546,29 @@ def test_demo_flow_taylor_green_series(tmp_path):
     u_scale = 1.0
     for r in rows:
         assert float(r["max_divergence"]) <= 1e-10 * u_scale / dx
+
+
+@pytest.mark.parametrize("case,cells,extents,z_bc", [("taylor-green", "16", [16, 16], "periodic"),
+                                                     ("channel", "8,6", [8, 6], "neumann")],
+                         ids=["taylor-green", "channel"])
+def test_demo_flow_records_step_seconds_and_plan(case, cells, extents, z_bc, tmp_path):
+    # the Poisson share of a step can be read from the series, and the
+    # manifest says what the pressure solve does
+    out = tmp_path / case
+    assert main(["demo-flow", "--case", case, "--cells", cells, "--steps", "4",
+                 "--out", str(out)]) == 0
+    with open(out / "series.csv", newline="") as fh:
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+    assert reader.fieldnames[-2:] == ["poisson_seconds", "step_seconds"]
+    assert len(rows) == 5 and float(rows[0]["step_seconds"]) == 0.0
+    for row in rows:
+        assert float(row["step_seconds"]) >= float(row["poisson_seconds"]), row
+    assert all(float(row["step_seconds"]) > 0.0 for row in rows[1:])
+    plan = json.loads((out / "manifest.json").read_text())["plan"]
+    assert [axis["n"] for axis in plan["axes"]] == extents
+    assert [axis["bc"] for axis in plan["axes"]] == ["periodic", z_bc]
+    assert plan["dtype"] == "float64"
 
 
 def test_demo_flow_channel_zero_forcing_zero_state(tmp_path):

@@ -132,23 +132,23 @@ def test_div_grad_equals_discrete_laplacian(rng):
 
 def _ref_divergence(vel):
     dx, dz = vel.spacing
-    div = (np.roll(vel.u, -1, axis=0) - vel.u) / dx
+    div = (np.roll(vel.u, -1, axis=0) - vel.u) * (1.0 / dx)
     if vel.z_walls:
-        div += (vel.w[:, 1:] - vel.w[:, :-1]) / dz
+        div += (vel.w[:, 1:] - vel.w[:, :-1]) * (1.0 / dz)
     else:
-        div += (np.roll(vel.w, -1, axis=1) - vel.w) / dz
+        div += (np.roll(vel.w, -1, axis=1) - vel.w) * (1.0 / dz)
     return div
 
 
 def _ref_gradient(vel, scalar):
     dx, dz = vel.spacing
-    gx = (scalar - np.roll(scalar, 1, axis=0)) / dx
+    gx = (scalar - np.roll(scalar, 1, axis=0)) * (1.0 / dx)
     if vel.z_walls:
         nx, nz = scalar.shape
         gz = np.zeros((nx, nz + 1))
-        gz[:, 1:-1] = (scalar[:, 1:] - scalar[:, :-1]) / dz
+        gz[:, 1:-1] = (scalar[:, 1:] - scalar[:, :-1]) * (1.0 / dz)
     else:
-        gz = (scalar - np.roll(scalar, 1, axis=1)) / dz
+        gz = (scalar - np.roll(scalar, 1, axis=1)) * (1.0 / dz)
     return gx, gz
 
 
@@ -171,44 +171,44 @@ def _ref_advective_term(vel):
     corner = _ref_corner_flux(vel)
     uc = (vel.u + np.roll(vel.u, -1, axis=0)) / 2.0
     fxx = uc * uc
-    au = -(fxx - np.roll(fxx, 1, axis=0)) / dx
+    au = -(fxx - np.roll(fxx, 1, axis=0)) * (1.0 / dx)
     if vel.z_walls:
-        au -= (corner[:, 1:] - corner[:, :-1]) / dz
+        au -= (corner[:, 1:] - corner[:, :-1]) * (1.0 / dz)
         wc = (vel.w[:, 1:] + vel.w[:, :-1]) / 2.0
         fzz = wc * wc
         aw = np.zeros_like(vel.w)
-        aw[:, 1:-1] = -(fzz[:, 1:] - fzz[:, :-1]) / dz
-        aw -= (np.roll(corner, -1, axis=0) - corner) / dx
+        aw[:, 1:-1] = -(fzz[:, 1:] - fzz[:, :-1]) * (1.0 / dz)
+        aw -= (np.roll(corner, -1, axis=0) - corner) * (1.0 / dx)
         aw[:, 0] = 0.0
         aw[:, -1] = 0.0
     else:
-        au -= (np.roll(corner, -1, axis=1) - corner) / dz
+        au -= (np.roll(corner, -1, axis=1) - corner) * (1.0 / dz)
         wc = (vel.w + np.roll(vel.w, -1, axis=1)) / 2.0
         fzz = wc * wc
-        aw = -(fzz - np.roll(fzz, 1, axis=1)) / dz
-        aw -= (np.roll(corner, -1, axis=0) - corner) / dx
+        aw = -(fzz - np.roll(fzz, 1, axis=1)) * (1.0 / dz)
+        aw -= (np.roll(corner, -1, axis=0) - corner) * (1.0 / dx)
     return au, aw
 
 
 def _ref_viscous_term(vel):
     dx, dz = vel.spacing
     u, w = vel.u, vel.w
-    lu = (np.roll(u, -1, axis=0) - 2.0 * u + np.roll(u, 1, axis=0)) / dx ** 2
-    lw = (np.roll(w, -1, axis=0) - 2.0 * w + np.roll(w, 1, axis=0)) / dx ** 2
+    lu = (np.roll(u, -1, axis=0) - 2.0 * u + np.roll(u, 1, axis=0)) * (1.0 / dx ** 2)
+    lw = (np.roll(w, -1, axis=0) - 2.0 * w + np.roll(w, 1, axis=0)) * (1.0 / dx ** 2)
     if vel.z_walls:
         d2z = np.empty_like(u)
         d2z[:, 1:-1] = u[:, 2:] - 2.0 * u[:, 1:-1] + u[:, :-2]
         d2z[:, 0] = u[:, 1] - 3.0 * u[:, 0]
         d2z[:, -1] = u[:, -2] - 3.0 * u[:, -1]
-        lu += d2z / dz ** 2
+        lu += d2z * (1.0 / dz ** 2)
         d2z = np.zeros_like(w)
         d2z[:, 1:-1] = w[:, 2:] - 2.0 * w[:, 1:-1] + w[:, :-2]
-        lw += d2z / dz ** 2
+        lw += d2z * (1.0 / dz ** 2)
         lw[:, 0] = 0.0
         lw[:, -1] = 0.0
     else:
-        lu += (np.roll(u, -1, axis=1) - 2.0 * u + np.roll(u, 1, axis=1)) / dz ** 2
-        lw += (np.roll(w, -1, axis=1) - 2.0 * w + np.roll(w, 1, axis=1)) / dz ** 2
+        lu += (np.roll(u, -1, axis=1) - 2.0 * u + np.roll(u, 1, axis=1)) * (1.0 / dz ** 2)
+        lw += (np.roll(w, -1, axis=1) - 2.0 * w + np.roll(w, 1, axis=1)) * (1.0 / dz ** 2)
     return vel.nu * lu, vel.nu * lw
 
 
@@ -245,6 +245,119 @@ def test_terms_match_rolled_stencils_bit_for_bit(nx, nz, z_walls):
     # the terms only read the state
     _assert_bitwise_equal(vel.u, held[0])
     _assert_bitwise_equal(vel.w, held[1])
+
+
+# -- against the division form ---------------------------------------------------
+#
+# The terms scale by reciprocal spacings (``* (1.0 / h)``) where they used to
+# divide (``/ h``), and the references above follow them.  These copies keep
+# the division form: an entry of a term may differ from it by the rounding of
+# the reciprocal alone.
+
+
+def _quotient_divergence(vel):
+    dx, dz = vel.spacing
+    div = (np.roll(vel.u, -1, axis=0) - vel.u) / dx
+    if vel.z_walls:
+        div += (vel.w[:, 1:] - vel.w[:, :-1]) / dz
+    else:
+        div += (np.roll(vel.w, -1, axis=1) - vel.w) / dz
+    return div
+
+
+def _quotient_gradient(vel, scalar):
+    dx, dz = vel.spacing
+    gx = (scalar - np.roll(scalar, 1, axis=0)) / dx
+    if vel.z_walls:
+        nx, nz = scalar.shape
+        gz = np.zeros((nx, nz + 1))
+        gz[:, 1:-1] = (scalar[:, 1:] - scalar[:, :-1]) / dz
+    else:
+        gz = (scalar - np.roll(scalar, 1, axis=1)) / dz
+    return gx, gz
+
+
+def _quotient_advective_term(vel):
+    dx, dz = vel.spacing
+    corner = _ref_corner_flux(vel)
+    uc = (vel.u + np.roll(vel.u, -1, axis=0)) / 2.0
+    fxx = uc * uc
+    au = -(fxx - np.roll(fxx, 1, axis=0)) / dx
+    if vel.z_walls:
+        au -= (corner[:, 1:] - corner[:, :-1]) / dz
+        wc = (vel.w[:, 1:] + vel.w[:, :-1]) / 2.0
+        fzz = wc * wc
+        aw = np.zeros_like(vel.w)
+        aw[:, 1:-1] = -(fzz[:, 1:] - fzz[:, :-1]) / dz
+        aw -= (np.roll(corner, -1, axis=0) - corner) / dx
+        aw[:, 0] = 0.0
+        aw[:, -1] = 0.0
+    else:
+        au -= (np.roll(corner, -1, axis=1) - corner) / dz
+        wc = (vel.w + np.roll(vel.w, -1, axis=1)) / 2.0
+        fzz = wc * wc
+        aw = -(fzz - np.roll(fzz, 1, axis=1)) / dz
+        aw -= (np.roll(corner, -1, axis=0) - corner) / dx
+    return au, aw
+
+
+def _quotient_viscous_term(vel):
+    dx, dz = vel.spacing
+    u, w = vel.u, vel.w
+    lu = (np.roll(u, -1, axis=0) - 2.0 * u + np.roll(u, 1, axis=0)) / dx ** 2
+    lw = (np.roll(w, -1, axis=0) - 2.0 * w + np.roll(w, 1, axis=0)) / dx ** 2
+    if vel.z_walls:
+        d2z = np.empty_like(u)
+        d2z[:, 1:-1] = u[:, 2:] - 2.0 * u[:, 1:-1] + u[:, :-2]
+        d2z[:, 0] = u[:, 1] - 3.0 * u[:, 0]
+        d2z[:, -1] = u[:, -2] - 3.0 * u[:, -1]
+        lu += d2z / dz ** 2
+        d2z = np.zeros_like(w)
+        d2z[:, 1:-1] = w[:, 2:] - 2.0 * w[:, 1:-1] + w[:, :-2]
+        lw += d2z / dz ** 2
+        lw[:, 0] = 0.0
+        lw[:, -1] = 0.0
+    else:
+        lu += (np.roll(u, -1, axis=1) - 2.0 * u + np.roll(u, 1, axis=1)) / dz ** 2
+        lw += (np.roll(w, -1, axis=1) - 2.0 * w + np.roll(w, 1, axis=1)) / dz ** 2
+    return vel.nu * lu, vel.nu * lw
+
+
+def _assert_close_to_rounding(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.abs(got - want).max(initial=0.0) <= 1e-14 * np.abs(want).max(initial=0.0)
+
+
+@pytest.mark.parametrize("nx,nz,z_walls", _LAYOUTS,
+                         ids=[f"{nx}x{nz}-{'walls' if w else 'periodic'}" for nx, nz, w in _LAYOUTS])
+def test_terms_match_division_form_to_rounding(nx, nz, z_walls):
+    rng = np.random.default_rng(2000 * nx + 20 * nz + z_walls)
+    w_shape = (nx, nz + 1) if z_walls else (nx, nz)
+    w = rng.standard_normal(w_shape)
+    if z_walls:
+        w[:, 0] = w[:, -1] = 0.0
+    vel = StaggeredVelocity(rng.standard_normal((nx, nz)), w,
+                            tuple(rng.uniform(0.5, 3.0, 2)), rng.uniform(0.01, 1.0), z_walls)
+    scalar = rng.standard_normal((nx, nz))
+
+    _assert_close_to_rounding(divergence(vel), _quotient_divergence(vel))
+    for term, quotient, args in ((gradient, _quotient_gradient, (scalar,)),
+                                 (advective_term, _quotient_advective_term, ()),
+                                 (viscous_term, _quotient_viscous_term, ())):
+        for got, want in zip(term(vel, *args), quotient(vel, *args)):
+            _assert_close_to_rounding(got, want)
+
+
+@pytest.mark.parametrize("make", [lambda: taylor_green(8),
+                                  lambda: channel((8, 6), (2.0, 1.0), 0.05, 1.0)],
+                         ids=["taylor-green", "channel"])
+def test_step_binds_no_division(make):
+    # an in-place divide by a scalar costs about three multiplies
+    flow = make()
+    flow.rk3_step(0.01)
+    calls = [call for calls, *_ in flow._workspace.bound.values() for call in calls]
+    assert len(calls) > 0
+    assert not any(call.func is np.divide for call in calls)
 
 
 # -- a whole step against the rolled stencils -----------------------------------
@@ -408,6 +521,7 @@ def test_channel_forcing_spins_up_divergence_free_flow():
     assert flow.max_divergence() <= 1e-10 * speed / flow.velocity.spacing[0]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_nonfinite_detection():
     flow = taylor_green(8, nu=0.0)
     flow.velocity.u[0, 0] = np.inf
@@ -415,11 +529,68 @@ def test_nonfinite_detection():
         flow.rk3_step(0.01)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_nonfinite_predictor_detected():
     vel = StaggeredVelocity.zeros((8, 8), (1.0, 1.0), nu=0.1)
     flow = ProjectionFlow(vel, forcing=(np.inf, 0.0))
     with pytest.raises(FloatingPointError, match="predictor velocity in stage 1 of step 1"):
         flow.rk3_step(0.01)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("make", [lambda: taylor_green(8),
+                                  lambda: channel((6, 4), (2.0, 1.0), 0.05, 1.0)],
+                         ids=["taylor-green-8", "channel-6x4"])
+def test_nonfinite_predictor_face_detected(make, value, monkeypatch):
+    # the step checks u* through the solve of div u*: every face enters it,
+    # the wall rows of w included, so each one alone makes the solve refuse
+    from fastpoisson import flow as flow_module
+
+    face = {}
+
+    def poisoned(vel, workspace=None, term=flow_module.divergence):
+        getattr(vel, face["name"])[face["index"]] = value
+        return term(vel, workspace=workspace)
+
+    monkeypatch.setattr(flow_module, "divergence", poisoned)
+    flow = make()
+    for name in ("u", "w"):
+        for index in np.ndindex(getattr(flow.velocity, name).shape):
+            face.update(name=name, index=index)
+            with pytest.raises(FloatingPointError,
+                               match="predictor velocity in stage 1 of step 1"):
+                flow.rk3_step(0.01)
+    monkeypatch.undo()
+    flow.rk3_step(0.01)
+    assert flow.step_count == 1
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("stage,message", [(1, "predictor velocity in stage 2 of step 1"),
+                                           (2, "predictor velocity in stage 3 of step 1"),
+                                           (3, "velocity after stage 3 of step 1")],
+                         ids=["stage-1", "stage-2", "stage-3"])
+def test_nonfinite_corrected_velocity_detected(stage, message, monkeypatch):
+    # a corrected velocity of stage 1 or 2 feeds the next predictor, which
+    # reports it; the last stage's has a check of its own
+    flow = taylor_green(8)
+    solve, calls = flow.poisson.solve, []
+
+    def poisoned(rhs, out=None):
+        result = solve(rhs, out=out)
+        calls.append(rhs)
+        if len(calls) == stage:
+            out[0, 0] = np.nan
+        return result
+
+    monkeypatch.setattr(flow.poisson, "solve", poisoned)
+    held = (flow.velocity.u, flow.velocity.w, flow.pressure.p)
+    with pytest.raises(FloatingPointError, match=message):
+        flow.rk3_step(0.01)
+    now = (flow.velocity.u, flow.velocity.w, flow.pressure.p)
+    assert all(a is b for a, b in zip(now, held))
+    assert flow.step_count == 0
 
 
 @pytest.mark.parametrize("make", [lambda: taylor_green(16),
