@@ -8,16 +8,26 @@ divergence of the discrete gradient of a cell-centered scalar is exactly the
 FD2 Laplacian the solver diagonalizes, so the corrected velocity is discretely
 divergence-free to roundoff.
 
-Stage k of the scheme reads
+Stage k of the scheme, in its incremental form, reads
 
     u* = u - alpha_k dt grad p + gamma_k dt h_k + zeta_k dt h_{k-1}
     lap phi = div u* / (alpha_k dt),   u <- u* - alpha_k dt grad phi,   p <- p + phi
 
-with h the advective, viscous and body-force tendency.  The step folds the
-scalings into fewer passes over the fields: dt rides on the stage weights,
-and the projection solves lap psi = div u* for psi = alpha_k dt phi, subtracts
-grad psi from u* as it stands, and scales psi by 1 / (alpha_k dt) once, where
-it enters the pressure.  The results agree with the unfolded order to roundoff.
+with h the advective, viscous and body-force tendency.  The step takes it
+without the pressure:
+
+    u* = u + gamma_k dt h_k + zeta_k dt h_{k-1}
+    lap psi = div u*,   u <- u* - grad psi,   and after stage 3  p = psi / (alpha_3 dt)
+
+The two agree to roundoff because the solve inverts div grad exactly: the
+projection removes any discrete gradient added to u*, so leaving out
+-alpha_k dt grad p only adds alpha_k dt p to psi (less its mean) and gives the
+same corrected velocity, and the incremental form's p + phi is then
+psi / (alpha_k dt) plus the entering pressure's mean.  A pressure is defined
+up to that constant; the step returns it in the solver's gauge, with zero
+mean.  So the step never reads the pressure: it is an output, written once
+from the last stage's psi.  dt rides on the stage weights.
+
 No stencil divides: each scales by a reciprocal of the spacings (1/dx, 1/dz**2,
 ...), taken once where its calls are bound, so an entry differs from the
 quotient by at most the rounding of that reciprocal.
@@ -26,14 +36,16 @@ Geometry: axes (x, z) with cells (nx, nz).  x is always periodic.  z is either
 periodic (Taylor-Green) or closed by no-slip walls (channel); walls map to
 staggered Neumann conditions for the pressure.  Arrangement:
 
-    p, phi    cell centers   (nx, nz)
+    p, psi    cell centers   (nx, nz)
     u         x-faces        (nx, nz)            u[i,j] at (i dx, (j+1/2) dz)
     w         z-faces        (nx, nz) periodic   w[i,j] at ((i+1/2) dx, j dz)
                              (nx, nz+1) walls    boundary faces pinned to 0
 
 Advective terms use second-order conservative central differences (the
-divergence form of the momentum flux); viscosity is a constant and is treated
-explicitly inside the RK3 stage weights.
+divergence form of the momentum flux), with each average left as a
+neighbour sum and the 1/4 of two halvings folded into the spacing scales;
+viscosity is a constant and is treated explicitly inside the RK3 stage
+weights.
 
 Every difference and average pairs neighbours on the staggered grid, through
 one of two operators: ``_forward`` pairs entry i+1 with entry i and writes
@@ -52,15 +64,14 @@ four terms (``advective_term``, ``viscous_term``, ``gradient`` and
 operands and then replayed.  Called on their own, the terms bind on a
 one-shot workspace, run once and return new arrays.  A flow's workspace is
 built by its first step, not by ``ProjectionFlow.__init__``, and rebuilt when
-the velocity's shapes, walls, lengths or viscosity change.  It holds
-thirteen fields on a periodic grid: a copy of the state (u, w, p: 3), the
-tendency h and the previous stage's h scaled by the next zeta weight
-(2 + 2), the predictor u* (2), and four scratch fields that the terms and
-psi share, as their lifetimes do not overlap.  Each buffer
-is as long as the w grid, one row of faces longer than u with walls.  A step
-copies the velocity and the pressure in, so a caller may replace or edit
-them between steps, and its last stage writes the new state into new
-arrays: arrays that a caller took from ``flow.velocity`` or
+the velocity's shapes, walls, lengths or viscosity change.  It holds twelve
+fields on a periodic grid: a copy of the velocity (u, w: 2), the tendency h
+and the previous stage's h scaled by the next zeta weight (2 + 2), the
+predictor u* (2), and four scratch fields that the terms and psi share, as
+their lifetimes do not overlap.  Each buffer is as long as the w grid, one
+row of faces longer than u with walls.  A step copies the velocity in, so a
+caller may replace or edit it between steps, and writes the new state into
+new arrays: arrays that a caller took from ``flow.velocity`` or
 ``flow.pressure`` keep their values.  A warm step's allocation peak is then
 about three fields, the new state.
 """
@@ -68,13 +79,14 @@ about three fields, the new state.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, wraps
 
 import numpy as np
 
-from .grid import Approximation, BoundaryCondition, GridKind, GridSpec
+from .grid import Approximation, BoundaryCondition, ConfigurationError, GridKind, GridSpec
 from .solver import SolverConfig, SolverPlan
 
 
@@ -104,12 +116,21 @@ class StaggeredVelocity:
                 f"w shape {self.w.shape} inconsistent with u shape {self.u.shape} "
                 f"({'walls' if self.z_walls else 'periodic'} in z; expected {expected_w})"
             )
+        if min(nx, nz) < 1:
+            raise ValueError(f"a velocity needs at least one cell per axis, got {self.u.shape}")
         if self.z_walls and nz < 2:
             raise ValueError(f"walls in z need at least two cells between them, got {nz}")
         if not 0.0 <= self.nu < math.inf:
             raise ValueError(f"viscosity must be finite and non-negative, got {self.nu}")
         if not all(0.0 < length < math.inf for length in self.lengths):
             raise ValueError(f"lengths must be finite and positive, got {self.lengths}")
+        # GridSpec's rule: the stencils scale by 1 / h**2
+        for h in self.spacing:
+            if not sys.float_info.min <= h * h < math.inf:
+                raise ConfigurationError(
+                    f"lengths {self.lengths} on {nx}x{nz} cells give a spacing of {h}, "
+                    "whose square is out of float64 range"
+                )
 
     @classmethod
     def zeros(cls, cells, lengths, nu, z_walls=False) -> "StaggeredVelocity":
@@ -274,12 +295,13 @@ def gradient(vel: StaggeredVelocity, scalar: np.ndarray, workspace=None):
 
 
 def _corner_flux(vel, workspace):
-    """The calls that leave u*w interpolated to cell corners (where neither
-    component lives) in s0, and the corner array; on the walls, where w is
-    zero, the corner value is zero.  They also use s1."""
+    """The calls that leave four times u*w interpolated to cell corners (where
+    neither component lives) in s0, as the product of the two neighbour sums,
+    and the corner array; on the walls, where w is zero, the corner value is
+    zero.  They also use s1."""
     wc, uc = workspace.take("s1", vel.w.shape), workspace.take("s0", vel.w.shape)
-    return [*_backward(np.add, vel.w, 0, wc), _inplace(np.multiply, wc, 0.5),
-            *_backward(np.add, vel.u, 1, uc, walls=vel.z_walls), _inplace(np.multiply, uc, 0.5),
+    return [*_backward(np.add, vel.w, 0, wc),
+            *_backward(np.add, vel.u, 1, uc, walls=vel.z_walls),
             _inplace(np.multiply, uc, wc)], uc
 
 
@@ -287,29 +309,32 @@ def _corner_flux(vel, workspace):
 def advective_term(vel: StaggeredVelocity, workspace=None):
     """-div(u (x) u) on each face grid, second-order conservative form."""
     dx, dz = vel.spacing
+    # the averages are left as neighbour sums, so every flux is four times
+    # too large; the 1/4 rides on the spacing scales.  Scaling by a power of
+    # two is exact in the normal range, so each entry keeps the bits of the
+    # halved averages
+    rx, rz = 0.25 * (1.0 / dx), 0.25 * (1.0 / dz)
     u, w, walls = vel.u, vel.w, vel.z_walls
     calls, corner = _corner_flux(vel, workspace)
     au, aw = workspace.take("hu", u.shape), workspace.take("hw", w.shape)
-    # u at cell centers, halved and squared below; the differences of the
-    # corner flux and of w at cell centers reuse it, as all are (nx, nz)
+    # twice u at cell centers, squared below; the differences of the corner
+    # flux and of w at cell centers reuse it, as all are (nx, nz)
     fxx = workspace.take("s2", vel.cells)
 
     # u momentum: -(d(uu)/dx + d(wu)/dz) at x-faces
-    calls += [*_forward(np.add, u, 0, fxx), _inplace(np.multiply, fxx, 0.5),
-              _inplace(np.multiply, fxx, fxx),
-              *_backward(np.subtract, fxx, 0, au), _inplace(np.multiply, au, -1.0 / dx),
+    calls += [*_forward(np.add, u, 0, fxx), _inplace(np.multiply, fxx, fxx),
+              *_backward(np.subtract, fxx, 0, au), _inplace(np.multiply, au, -rx),
               *_forward(np.subtract, corner, 1, fxx, walls=walls),
-              _inplace(np.multiply, fxx, 1.0 / dz),
+              _inplace(np.multiply, fxx, rz),
               _inplace(np.subtract, au, fxx)]
 
     # w momentum: -(d(uw)/dx + d(ww)/dz) at z-faces; w's corner average is
     # spent, and its buffer takes the corner difference
     dcx = workspace.take("s1", w.shape)
-    calls += [*_forward(np.add, w, 1, fxx, walls=walls), _inplace(np.multiply, fxx, 0.5),
-              _inplace(np.multiply, fxx, fxx),
+    calls += [*_forward(np.add, w, 1, fxx, walls=walls), _inplace(np.multiply, fxx, fxx),
               *_backward(np.subtract, fxx, 1, aw, walls=walls),
-              _inplace(np.multiply, aw, -1.0 / dz),
-              *_forward(np.subtract, corner, 0, dcx), _inplace(np.multiply, dcx, 1.0 / dx),
+              _inplace(np.multiply, aw, -rz),
+              *_forward(np.subtract, corner, 0, dcx), _inplace(np.multiply, dcx, rx),
               _inplace(np.subtract, aw, dcx)]
     if walls:
         calls += [partial(aw[:, 0].fill, 0.0), partial(aw[:, -1].fill, 0.0)]
@@ -359,12 +384,12 @@ def viscous_term(vel: StaggeredVelocity, workspace=None):
 
 
 class _StepWorkspace(_Workspace):
-    """A step's workspace: copies of the state (``state`` and ``p``), the
-    tendency h (the advective term's hu and hw), the previous stage's h
-    scaled by the next zeta weight (``carry``), the predictor (``star``) and
-    the terms' scratch s0-s3, in which the projection also keeps psi (s1) and
-    the predictor its gamma term (``buf``, s0).  ``layout`` is what the terms
-    bind: the shapes, the walls, the lengths and the viscosity."""
+    """A step's workspace: a copy of the velocity (``state``), the tendency h
+    (the advective term's hu and hw), the previous stage's h scaled by the
+    next zeta weight (``carry``), the predictor (``star``) and the terms'
+    scratch s0-s3, in which the projection also keeps psi (s1).  ``layout``
+    is what the terms bind: the shapes, the walls, the lengths and the
+    viscosity."""
 
     def __init__(self, vel):
         super().__init__(max(vel.u.size, vel.w.size), np.float64)
@@ -373,9 +398,7 @@ class _StepWorkspace(_Workspace):
         layout = (vel.lengths, vel.nu, vel.z_walls)
         self.state = StaggeredVelocity(self.take("u", cells), self.take("w", w_shape), *layout)
         self.star = StaggeredVelocity(self.take("su", cells), self.take("sw", w_shape), *layout)
-        self.p = self.take("p", cells)
         self.carry = (self.take("cu", cells), self.take("cw", w_shape))
-        self.buf = (self.take("s0", cells), self.take("s0", w_shape))
         self.psi = self.take("s1", cells)
 
     @staticmethod
@@ -418,8 +441,9 @@ class ProjectionFlow:
         """Advance one full time step of size dt (three projection stages).
 
         The stages run in the flow's workspace, which the first step builds
-        (see the module docstring): the step copies the velocity and the
-        pressure in, and its last stage writes the new state into new arrays.
+        (see the module docstring): the step copies the velocity in; the
+        pressure is an output, which the step never reads and writes from
+        the last stage's projection.  The new state goes into new arrays.
 
         Non-finite values raise ``FloatingPointError``, and the state is left
         as it was.  The velocity is checked on entry and after the last stage.
@@ -431,7 +455,7 @@ class ProjectionFlow:
         """
         if not 0.0 < dt < math.inf:
             raise ValueError(f"time step must be positive and finite, got {dt}")
-        vel, pres = self.velocity, self.pressure
+        vel = self.velocity
         if not (np.isfinite(vel.u).all() and np.isfinite(vel.w).all()):
             raise FloatingPointError(
                 f"non-finite velocity entering stage 1 of step {self.step_count + 1}"
@@ -442,28 +466,28 @@ class ProjectionFlow:
         state = ws.state
         np.copyto(state.u, vel.u)
         np.copyto(state.w, vel.w)
-        np.copyto(ws.p, pres.p)
         poisson_seconds = 0.0
         # a non-finite value is reported by the checks below, not by numpy
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(3):
                 self._predictor(ws, k, dt)
-                # the last stage leaves the new state in new arrays: arrays a
-                # caller holds are never written
+                # the last stage leaves the new velocity in new arrays: arrays
+                # a caller holds are never written
                 try:
-                    (u, w, p), seconds = self._project(ws, k, dt, fresh=k == 2)
+                    (u, w), seconds = self._project(ws, fresh=k == 2)
                 except ValueError as exc:  # the solve refuses a non-finite div u*
                     raise FloatingPointError(
                         f"non-finite predictor velocity in stage {k + 1} "
                         f"of step {self.step_count + 1}"
                     ) from exc
                 poisson_seconds += seconds
+            p = np.multiply(ws.psi, 1.0 / (_ALPHA[2] * dt))
         if not (np.isfinite(u).all() and np.isfinite(w).all()):
             raise FloatingPointError(
                 f"non-finite velocity after stage 3 of step {self.step_count + 1}"
             )
 
-        vel.u, vel.w, pres.p = u, w, p
+        vel.u, vel.w, self.pressure.p = u, w, p
         self.poisson_seconds = poisson_seconds
         self.time += dt
         self.step_count += 1
@@ -487,33 +511,28 @@ class ProjectionFlow:
             hw[:, 0] = 0.0
             hw[:, -1] = 0.0
 
-        # u* = u - alpha_k dt grad p + gamma_k dt h_k + zeta_k dt h_{k-1},
-        # evaluated in that order of operations
-        gx, gz = gradient(state, ws.p, workspace=ws)
-        for pred, g, h, buf, old, carry in zip((ws.star.u, ws.star.w), (gx, gz), (hu, hw),
-                                               ws.buf, (state.u, state.w), ws.carry):
-            np.multiply(g, -_ALPHA[k] * dt, out=pred)
-            pred += np.multiply(h, _GAMMA[k] * dt, out=buf)
+        # u* = u + gamma_k dt h_k + zeta_k dt h_{k-1}, with no pressure term,
+        # as the projection removes any discrete gradient (module docstring)
+        for pred, h, old, carry in zip((ws.star.u, ws.star.w), (hu, hw), (state.u, state.w),
+                                       ws.carry):
+            np.multiply(h, _GAMMA[k] * dt, out=pred)
             pred += old
             if _ZETA[k] != 0.0:
                 pred += carry
             if k < 2:
                 np.multiply(h, dt * _ZETA[k + 1], out=carry)
 
-    def _project(self, ws, k, dt, fresh):
-        """Make the predictor ``ws.star`` divergence-free with stage k's
-        pressure correction, into the workspace's velocity and pressure, or
-        with ``fresh`` into new arrays; returns those three arrays and the
-        seconds of the Poisson solve.  The solve's solution is
-        psi = alpha_k dt phi (see the module docstring)."""
+    def _project(self, ws, fresh):
+        """Make the predictor ``ws.star`` divergence-free, leaving the solve's
+        psi in ``ws.psi`` (see the module docstring), into the workspace's
+        velocity, or with ``fresh`` into new arrays; returns those two arrays
+        and the seconds of the Poisson solve."""
         state, star, psi = ws.state, ws.star, ws.psi
         _, report = self.poisson.solve(divergence(star, workspace=ws), out=psi)
         gfx, gfz = gradient(state, psi, workspace=ws)
         u = np.subtract(star.u, gfx, out=None if fresh else state.u)
         w = np.subtract(star.w, gfz, out=None if fresh else state.w)
-        psi *= 1.0 / (_ALPHA[k] * dt)
-        p = np.add(ws.p, psi, out=None if fresh else ws.p)
-        return (u, w, p), sum(report.timing.values())
+        return (u, w), sum(report.timing.values())
 
     def kinetic_energy(self) -> float:
         """0.5 * integral of |u|^2, one face volume per face value."""

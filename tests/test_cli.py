@@ -233,6 +233,8 @@ def test_verify_fault_injection_fails(tmp_path, monkeypatch):
       "--bc", "dirichlet"], 2, "single precision"),
     (["demo-flow", "--case", "channel", "--cells", "4,4", "--length", "1e300,1", "--steps", "1"],
      2, "out of float64 range"),
+    (["demo-flow", "--case", "channel", "--cells", "4,4", "--length", "1e-170,1", "--steps", "1"],
+     2, "out of float64 range"),
     (["demo-flow", "--case", "channel", "--cells", "4,4", "--length", "0,1", "--steps", "1"],
      2, "--length"),
     (["demo-flow", "--case", "channel", "--cells", "4,4", "--length=-1,1", "--steps", "1"],
@@ -259,7 +261,7 @@ def test_verify_fault_injection_fails(tmp_path, monkeypatch):
         "flow-steps-negative", "flow-snapshot-every-negative",
         "flow-threads-flag", "flow-seed-flag", "flow-tg-length", "flow-tg-forcing",
         "flow-forcing-nan", "solve-length-inf", "solve-single-inverse-overflow",
-        "flow-length-spacing-overflow", "flow-length-zero", "flow-length-negative",
+        "flow-length-spacing-overflow", "flow-length-spacing-underflow", "flow-length-zero", "flow-length-negative",
         "flow-length-nan", "flow-length-inf",
         "solve-out-is-file", "solve-out-under-file", "solve-nonfinite-input",
         "verify-out-under-file", "verify-out-is-directory", "flow-out-is-file",

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fastpoisson.flow import (
     RK3_ALPHA,
@@ -22,6 +23,7 @@ from fastpoisson.flow import (
 from fastpoisson.grid import (
     Approximation as AP,
     BoundaryCondition as BC,
+    ConfigurationError,
     GridKind as GK,
     GridSpec,
 )
@@ -360,6 +362,21 @@ def test_step_binds_no_division(make):
     assert not any(call.func is np.divide for call in calls)
 
 
+@pytest.mark.parametrize("make", [lambda: taylor_green(8),
+                                  lambda: channel((8, 6), (2.0, 1.0), 0.05, 1.0)],
+                         ids=["taylor-green", "channel"])
+def test_step_binds_no_halving(make):
+    # the advective term's averages stay neighbour sums, and the 1/4 of the
+    # two halvings rides on its spacing scales
+    flow = make()
+    flow.rk3_step(0.01)
+    calls = [call for calls, *_ in flow._workspace.bound.values() for call in calls]
+    assert any(call.func is np.multiply for call in calls)
+    assert not any(call.func is np.multiply
+                   and any(isinstance(arg, float) and arg == 0.5 for arg in call.args)
+                   for call in calls)
+
+
 # -- a whole step against the rolled stencils -----------------------------------
 #
 # The step folds the stage scalings into fewer passes than the scheme's
@@ -418,6 +435,67 @@ def test_step_matches_unfolded_reference_step(make):
             scale = np.abs(want).max()
             assert scale > 0.0, (name, step)
             assert np.abs(got - want).max() <= 1e-12 * scale, (name, step)
+
+
+@st.composite
+def _flows(draw):
+    """A periodic or channel flow with a seeded random velocity (w's wall
+    faces zero), forcing and viscosity, a random entering pressure of
+    nonzero mean, and a small time step."""
+    z_walls = draw(st.booleans())
+    nx, nz = draw(st.integers(4, 16)), draw(st.integers(4, 16))
+    lengths = (draw(st.floats(0.5, 3.0)), draw(st.floats(0.5, 3.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    u = rng.standard_normal((nx, nz))
+    w = rng.standard_normal((nx, nz + 1) if z_walls else (nx, nz))
+    if z_walls:
+        w[:, 0] = w[:, -1] = 0.0
+    forcing = (draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0)))
+    flow = ProjectionFlow(StaggeredVelocity(u, w, lengths, draw(st.floats(0.0, 0.5)), z_walls),
+                          forcing=forcing)
+    flow.pressure.p = rng.standard_normal((nx, nz)) + rng.uniform(-5.0, 5.0)
+    return flow, draw(st.floats(1e-3, 1e-2))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_flows())
+def test_property_step_matches_incremental_reference(case):
+    # the step leaves the pressure out of the predictor and writes it from
+    # the last psi alone; the reference carries it incrementally, so its
+    # pressure keeps the entering mean, where the step's has the solver's
+    # zero mean.  In both forms p = psi / (alpha dt) carries the rounding of
+    # div u* times 1/dt, which sets the smallest dt drawn
+    flow, dt = case
+    u, w, p = flow.velocity.u.copy(), flow.velocity.w.copy(), flow.pressure.p.copy()
+    entering_mean = p.mean()
+    flow.rk3_step(dt)
+    u, w, p = _ref_rk3_step(flow, u, w, p, dt)
+    p -= entering_mean
+    for name, got, want in (("u", flow.velocity.u, u), ("w", flow.velocity.w, w),
+                            ("p", flow.pressure.p, p)):
+        scale = np.abs(want).max()
+        assert scale > 0.0, name
+        assert np.abs(got - want).max() <= 1e-12 * scale, name
+    assert abs(flow.pressure.p.mean()) <= 1e-12 * np.abs(p).max()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("entering", ["random", "nan"])
+@pytest.mark.parametrize("make", [lambda: taylor_green(16), _perturbed_channel],
+                         ids=["taylor-green", "channel"])
+def test_entering_pressure_is_not_read(make, entering):
+    # the pressure is an output of the step: one set before it changes
+    # nothing, not even when it is not finite
+    flows = make(), make()
+    shape = flows[1].pressure.p.shape
+    flows[1].pressure.p = (np.full(shape, np.nan) if entering == "nan"
+                           else np.random.default_rng(5).standard_normal(shape) + 3.0)
+    for flow in flows:
+        flow.rk3_step(0.01)
+    for name in ("u", "w"):
+        _assert_bitwise_equal(getattr(flows[1].velocity, name), getattr(flows[0].velocity, name))
+    _assert_bitwise_equal(flows[1].pressure.p, flows[0].pressure.p)
+    assert np.abs(flows[0].pressure.p).max() > 0.0
 
 
 def test_walls_need_two_cells_between_them():
@@ -624,7 +702,7 @@ def test_step_calls_each_term_through_the_module(monkeypatch):
         for _ in range(2):
             calls.clear()
             flow.rk3_step(0.01)
-            assert calls == {"divergence": 3, "gradient": 6, "advective_term": 3,
+            assert calls == {"divergence": 3, "gradient": 3, "advective_term": 3,
                              "viscous_term": 3}
 
 
@@ -704,14 +782,14 @@ OBJECT_BYTES = 4096
 
 
 @pytest.mark.parametrize("make,fields,resident", [
-    (lambda: taylor_green(64), 11.7, 13.0),
-    (lambda: taylor_green(256), 11.6, 13.0),
-    (lambda: channel((64, 32), (2.0, 1.0), 0.05, 1.0), 16.1, 13.5),
-    (lambda: channel((256, 128), (2.0, 1.0), 0.05, 1.0), 13.5, 13.2),
+    (lambda: taylor_green(64), 11.7, 12.0),
+    (lambda: taylor_green(256), 11.6, 12.0),
+    (lambda: channel((64, 32), (2.0, 1.0), 0.05, 1.0), 16.1, 12.5),
+    (lambda: channel((256, 128), (2.0, 1.0), 0.05, 1.0), 13.5, 12.2),
 ], ids=["taylor-green-64", "taylor-green-256", "channel-64x32", "channel-256x128"])
 def test_step_memory_bound(make, fields, resident):
     # in units of the u field.  The first step builds the flow's workspace:
-    # thirteen fields on a periodic grid (the state 3, two stages' tendencies
+    # twelve fields on a periodic grid (the velocity 2, two stages' tendencies
     # 2 + 2, the predictor 2 and the terms' scratch 4), each as long as the w
     # grid, which with walls has an extra row of faces.  A warm step's peak
     # keeps to the bound that held when each step allocated its working
@@ -743,6 +821,42 @@ def test_velocity_shape_validation():
     for lengths in ((np.nan, 1.0), (1.0, np.inf), (0.0, 1.0), (1.0, -2.0)):
         with pytest.raises(ValueError, match="lengths"):
             StaggeredVelocity(np.zeros((4, 4)), np.zeros((4, 4)), lengths, 0.1)
+
+
+_TERMS = {"divergence": (divergence, 0), "gradient": (gradient, 1),
+          "advective_term": (advective_term, 0), "viscous_term": (viscous_term, 0)}
+
+
+@pytest.mark.parametrize("z_walls", [False, True], ids=["periodic", "walls"])
+@pytest.mark.parametrize("lengths", [(1e300, 1.0), (1e-170, 1.0), (5e-324, 1.0)],
+                         ids=["overflow", "underflow", "subnormal"])
+@pytest.mark.parametrize("name", list(_TERMS))
+def test_spacing_squared_out_of_range_refused(name, lengths, z_walls):
+    # the stencils scale by 1 / h**2, so each spacing squared must be a
+    # normal float64, as GridSpec requires; no term is reached otherwise
+    term, scalars = _TERMS[name]
+    with pytest.raises(ConfigurationError, match="out of float64 range"):
+        vel = StaggeredVelocity.zeros((4, 4), lengths, 0.1, z_walls)
+        term(vel, *[np.ones((4, 4))] * scalars)
+
+
+@pytest.mark.parametrize("cells", [(0, 4), (4, 0)], ids=["no-x-cell", "no-z-cell"])
+def test_velocity_needs_a_cell_per_axis(cells):
+    # an empty axis has no spacing to check
+    with pytest.raises(ValueError, match="one cell per axis"):
+        StaggeredVelocity.zeros(cells, (1.0, 1.0), 0.1)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("lengths", [(1e150, 1.0), (1e-150, 1.0)], ids=["large", "small"])
+def test_spacing_squared_in_range_accepted(lengths, rng):
+    for z_walls in (False, True):
+        vel = StaggeredVelocity.zeros((4, 4), lengths, 0.1, z_walls)
+        vel.u[...] = rng.standard_normal(vel.u.shape)
+        for term, scalars in _TERMS.values():
+            results = term(vel, *[np.ones((4, 4))] * scalars)
+            for result in results if isinstance(results, tuple) else (results,):
+                assert np.isfinite(result).all()
 
 
 def test_cfl_advisory_scales_with_dt():
