@@ -17,12 +17,7 @@ Arrays are C order (last axis contiguous).  Right-hand side and solution may
 be sub-blocks of larger allocations (ghost-cell layouts) and may alias.
 """
 
-from .eigenvalues import (
-    combine_eigenvalues,
-    eigenvalue_table,
-    fd2_eigenvalues,
-    spectral_eigenvalues,
-)
+from .eigenvalues import combine_eigenvalues, eigenvalue_table
 from .grid import (
     Approximation,
     BoundaryCondition,
@@ -41,17 +36,6 @@ from .transforms import (
 
 __version__ = "0.1.0"
 
-
-def __getattr__(name):
-    # the verification aid lives in ``verify``, whose dense-algebra imports
-    # a plain ``import fastpoisson`` should not pay for
-    if name == "apply_discrete_laplacian":
-        from .verify import apply_discrete_laplacian
-
-        return apply_discrete_laplacian
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "Approximation",
     "BoundaryCondition",
@@ -64,12 +48,9 @@ __all__ = [
     "TransformKind",
     "TransformPair",
     "TransformPlan",
-    "apply_discrete_laplacian",
     "combine_eigenvalues",
     "eigenvalue_table",
-    "fd2_eigenvalues",
     "naive_transform",
-    "spectral_eigenvalues",
     "transform_pair_for",
     "__version__",
 ]

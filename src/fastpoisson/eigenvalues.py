@@ -1,67 +1,55 @@
 """Eigenvalues of the 1D pseudo-spectral and second-order finite-difference Laplacians.
 
-The solver divides transform coefficients by these values.  For the
-pseudo-spectral approximation they are the continuous operator's eigenvalues
-at the basis wavenumbers:
+The solver divides transform coefficients by these values.  Each boundary row
+gives basis index k = 0..n-1 one wavenumber kappa_k on an axis of length L:
 
-    periodic             lambda_k = -(2 pi m(k) / L)^2,  m(k) = min(k, n-k)
-    Dirichlet (both)     lambda_k = -(pi (k+1) / L)^2
-    Neumann   (both)     lambda_k = -(pi k / L)^2
+    periodic             kappa_k = 2 pi min(k, n-k) / L
+    Dirichlet (both)     kappa_k = pi (k+1) / L
+    Neumann   (both)     kappa_k = pi k / L
 
-For the second-order central difference (phi_{j+1} - 2 phi_j + phi_{j-1})/dx^2
-they are the exact eigenvalues of the stencil matrix with the matching
-boundary closure:
+The pseudo-spectral approximation takes the continuous operator's eigenvalue
+at that wavenumber, and the second-order central difference
+(phi_{j+1} - 2 phi_j + phi_{j-1})/dx^2 its modified wavenumber, the exact
+eigenvalue of the stencil matrix with the row's boundary closure
+(dx = GridSpec.dx):
 
-    periodic             lambda_k = -(2 sin(k pi / n)          / dx)^2
-    Dirichlet regular    lambda_k = -(2 sin(pi (k+1)/(2(n+1))) / dx)^2
-    Dirichlet staggered  lambda_k = -(2 sin(pi (k+1)/(2 n))    / dx)^2
-    Neumann   regular    lambda_k = -(2 sin(pi k / (2(n-1)))   / dx)^2
-    Neumann   staggered  lambda_k = -(2 sin(pi k / (2 n))      / dx)^2
+    pseudo-spectral      lambda_k = -kappa_k^2
+    FD2                  lambda_k = -(2 sin(kappa_k dx / 2) / dx)^2
 
 All values are <= 0.  Periodic and Neumann axes own exactly one zero
 eigenvalue (the constant mode, k = 0); Dirichlet axes own none.  A grid
 without a Dirichlet axis thus has one null mode, at index (0, .., 0) of the
-summed array, and a grid with one has none.  The periodic
-spectral folding uses m(k) = min(k, n-k) so the value assigned to index k is
-the squared wavenumber of the aliased sampled mode, including the Nyquist
-index k = n/2 for even n.
+summed array, and a grid with one has none.  The periodic folding
+min(k, n-k) gives index k the wavenumber of the aliased sampled mode,
+including the Nyquist index k = n/2 for even n, so lambda_k == lambda_{n-k}
+exactly.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .grid import Approximation, BoundaryCondition, GridKind, GridSpec
-
-
-def spectral_eigenvalues(spec: GridSpec) -> np.ndarray:
-    """Pseudo-spectral eigenvalues of one axis (units 1/length^2), float64."""
-    k = np.arange(spec.n, dtype=np.float64)
-    if spec.bc is BoundaryCondition.PERIODIC:
-        folded = np.minimum(k, spec.n - k)
-        return -((2.0 * np.pi * folded / spec.length) ** 2)
-    if spec.bc is BoundaryCondition.DIRICHLET:
-        return -((np.pi * (k + 1.0) / spec.length) ** 2)
-    return -((np.pi * k / spec.length) ** 2)
-
-
-def fd2_eigenvalues(spec: GridSpec) -> np.ndarray:
-    """Second-order central-difference eigenvalues of one axis, float64."""
-    k = np.arange(spec.n, dtype=np.float64)
-    n, dx = spec.n, spec.dx
-    if spec.bc is BoundaryCondition.PERIODIC:
-        angle = k * np.pi / n
-    elif spec.bc is BoundaryCondition.DIRICHLET:
-        angle = np.pi * (k + 1.0) / (2.0 * (n + 1 if spec.kind is GridKind.REGULAR else n))
-    else:
-        angle = np.pi * k / (2.0 * (n - 1 if spec.kind is GridKind.REGULAR else n))
-    return -((2.0 * np.sin(angle) / dx) ** 2)
+from .grid import Approximation, BoundaryCondition, ConfigurationError, GridSpec
 
 
 def eigenvalue_table(spec: GridSpec, approximation: Approximation) -> np.ndarray:
+    """Eigenvalues of one axis under ``approximation`` (units 1/length^2), float64."""
+    if not isinstance(approximation, Approximation):
+        raise ConfigurationError(f"approximation {approximation!r} is not an Approximation")
+    k = np.arange(spec.n, dtype=np.float64)
+    # kappa_k = unit * m_k / L
+    if spec.bc is BoundaryCondition.PERIODIC:
+        m, unit = np.minimum(k, spec.n - k), 2.0 * np.pi
+    elif spec.bc is BoundaryCondition.DIRICHLET:
+        m, unit = k + 1.0, np.pi
+    else:
+        m, unit = k, np.pi
     if approximation is Approximation.PSEUDO_SPECTRAL:
-        return spectral_eigenvalues(spec)
-    return fd2_eigenvalues(spec)
+        return -((unit * m / spec.length) ** 2)
+    # kappa_k dx / 2 = m_k (unit dx / 2L): the scalars are combined first, so
+    # the angle and the factor 2 / dx cost one array pass each
+    dx = spec.dx
+    return -((np.sin(m * (unit * dx / (2.0 * spec.length))) * (2.0 / dx)) ** 2)
 
 
 def combine_eigenvalues(tables) -> np.ndarray:

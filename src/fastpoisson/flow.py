@@ -122,6 +122,8 @@ class StaggeredVelocity:
             raise ValueError(f"walls in z need at least two cells between them, got {nz}")
         if not 0.0 <= self.nu < math.inf:
             raise ValueError(f"viscosity must be finite and non-negative, got {self.nu}")
+        if len(self.lengths) != 2:
+            raise ValueError(f"lengths must hold two entries (x, z), got {self.lengths}")
         if not all(0.0 < length < math.inf for length in self.lengths):
             raise ValueError(f"lengths must be finite and positive, got {self.lengths}")
         # GridSpec's rule: the stencils scale by 1 / h**2

@@ -64,6 +64,12 @@ class GridSpec:
     kind: GridKind = GridKind.REGULAR
 
     def __post_init__(self):
+        # bool is an int subclass; numpy integers are not ints
+        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)):
+            raise ConfigurationError(f"point count must be an integer, got n={self.n!r}")
+        if not (isinstance(self.bc, BoundaryCondition) and isinstance(self.kind, GridKind)):
+            raise ConfigurationError(f"bc must be a BoundaryCondition and kind a GridKind, "
+                                     f"got {self.bc!r} and {self.kind!r}")
         if self.n < 1:
             raise ConfigurationError(f"point count must be positive, got n={self.n}")
         if not (self.length > 0 and math.isfinite(self.length)):

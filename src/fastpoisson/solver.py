@@ -79,6 +79,8 @@ class SolverConfig:
             raise ConfigurationError(f"1 to 3 dimensions supported, got {len(grids)}")
         if not all(isinstance(g, GridSpec) for g in grids):
             raise ConfigurationError("grids must be GridSpec instances")
+        if not isinstance(self.approximation, Approximation):
+            raise ConfigurationError(f"approximation {self.approximation!r} is not an Approximation")
         if self.precision not in _PRECISION_DTYPES:
             raise ConfigurationError(
                 f"precision must be one of {sorted(_PRECISION_DTYPES)}, got {self.precision!r}"
@@ -295,10 +297,10 @@ class SolverPlan:
         ``(solution, report)``; ``rhs`` is preserved unless ``out`` aliases it.
         Without ``out`` the solution is a fresh C-contiguous array in the
         plan's precision.  A complex or non-numeric ``rhs``, or an ``out``
-        the plan's dtype cannot be cast into, raises ``TypeError``.  An
-        ``rhs`` with a NaN or an infinity, or one whose forward transform
-        overflows the precision, raises ``ValueError`` before ``out`` is
-        written.
+        the plan's dtype cannot be cast into, raises ``TypeError``; a
+        read-only ``out`` raises ``ValueError`` before any pass.  An ``rhs``
+        with a NaN or an infinity, or one whose forward transform overflows
+        the precision, raises ``ValueError`` before ``out`` is written.
         """
         t_enter = time.perf_counter()
         rhs_arr = np.asarray(rhs)
@@ -316,6 +318,8 @@ class SolverPlan:
                 )
             if not np.can_cast(self.dtype, out_arr.dtype, "same_kind"):
                 raise TypeError(f"out dtype {out_arr.dtype} cannot take a {self.dtype} solution")
+            if not out_arr.flags.writeable:
+                raise ValueError("out is read-only")
 
         report = SolveReport()
         # the one working copy; every pass below rebinds ``work`` in this frame

@@ -313,59 +313,39 @@ def convergence_order(
 # -- stock manufactured cases ------------------------------------------------
 
 
+# per row, the two modes (g, amplitude a, multiple q) of the profile f(x) =
+# sum a g(q pi x / L); g is sin or cos, so f'' = sum -a (q pi / L)^2 g.  The
+# solution is prod_i f(x_i), its Laplacian sum_i f''(x_i) prod_{j != i} f(x_j)
+_TWO_MODES = {
+    BoundaryCondition.PERIODIC: ((np.sin, 1.0, 2), (np.cos, 0.4, 6)),
+    BoundaryCondition.DIRICHLET: ((np.sin, 1.0, 1), (np.sin, 0.5, 3)),
+    BoundaryCondition.NEUMANN: ((np.cos, 1.0, 1), (np.cos, 0.5, 3)),
+}
+
+
 def standard_case(bc: BoundaryCondition, kind: GridKind, dims: int = 1, length: float = 1.0) -> ManufacturedCase:
     """A smooth non-eigenmode case for the given boundary pattern.
 
-    Mixes two basis frequencies per axis so the solution is never a single
-    eigenvector of the discrete operator.
+    The solution is a product of one profile per axis that mixes two basis
+    frequencies, so it is never a single eigenvector of the discrete operator.
     """
-    L = length
-
-    if bc is BoundaryCondition.PERIODIC:
-        def f1(x):
-            return np.sin(2 * np.pi * x / L) + 0.4 * np.cos(6 * np.pi * x / L)
-
-        def d2f1(x):
-            return -((2 * np.pi / L) ** 2) * np.sin(2 * np.pi * x / L) - 0.4 * (
-                (6 * np.pi / L) ** 2
-            ) * np.cos(6 * np.pi * x / L)
-
-    elif bc is BoundaryCondition.DIRICHLET:
-        def f1(x):
-            return np.sin(np.pi * x / L) + 0.5 * np.sin(3 * np.pi * x / L)
-
-        def d2f1(x):
-            return -((np.pi / L) ** 2) * np.sin(np.pi * x / L) - 0.5 * (
-                (3 * np.pi / L) ** 2
-            ) * np.sin(3 * np.pi * x / L)
-
-    else:
-        def f1(x):
-            return np.cos(np.pi * x / L) + 0.5 * np.cos(3 * np.pi * x / L)
-
-        def d2f1(x):
-            return -((np.pi / L) ** 2) * np.cos(np.pi * x / L) - 0.5 * (
-                (3 * np.pi / L) ** 2
-            ) * np.cos(3 * np.pi * x / L)
-
-    if dims == 1:
-        solution, rhs = f1, d2f1
-    elif dims == 2:
-        def solution(x, y):
-            return f1(x) * f1(y)
-
-        def rhs(x, y):
-            return d2f1(x) * f1(y) + f1(x) * d2f1(y)
-
-    elif dims == 3:
-        def solution(x, y, z):
-            return f1(x) * f1(y) * f1(z)
-
-        def rhs(x, y, z):
-            return d2f1(x) * f1(y) * f1(z) + f1(x) * d2f1(y) * f1(z) + f1(x) * f1(y) * d2f1(z)
-
-    else:
+    if not 1 <= dims <= 3:
         raise ValueError(f"dims must be 1..3, got {dims}")
+    L, modes = length, _TWO_MODES[bc]
+
+    def profile(x):
+        return sum(a * g(q * np.pi * x / L) for g, a, q in modes)
+
+    def second(x):
+        return sum(-(a * (q * np.pi / L) ** 2) * g(q * np.pi * x / L) for g, a, q in modes)
+
+    def solution(*coords):
+        return math.prod(profile(x) for x in coords)
+
+    def rhs(*coords):
+        values = [profile(x) for x in coords]
+        return sum(math.prod(values[:i] + [second(x)] + values[i + 1:])
+                   for i, x in enumerate(coords))
 
     return ManufacturedCase(
         solution=solution,

@@ -24,12 +24,10 @@ from .transforms import (
     transform_pair_for,
 )
 from .verify import (
-    ManufacturedCase,
     basis_vector,
     convergence_order,
     dense_oracle_solve,
     laplacian_matrix,
-    mms_error,
     standard_case,
     stencil_matrix_1d,
 )

@@ -818,7 +818,8 @@ def test_velocity_shape_validation():
     for nu in (-0.1, np.nan, np.inf):
         with pytest.raises(ValueError, match="viscosity"):
             StaggeredVelocity(np.zeros((4, 4)), np.zeros((4, 4)), (1.0, 1.0), nu)
-    for lengths in ((np.nan, 1.0), (1.0, np.inf), (0.0, 1.0), (1.0, -2.0)):
+    for lengths in ((np.nan, 1.0), (1.0, np.inf), (0.0, 1.0), (1.0, -2.0),
+                    (1.0, 1.0, 1.0), (1.0,), ()):
         with pytest.raises(ValueError, match="lengths"):
             StaggeredVelocity(np.zeros((4, 4)), np.zeros((4, 4)), lengths, 0.1)
 

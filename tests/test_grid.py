@@ -85,6 +85,25 @@ def test_invalid_sizes_rejected(n, length):
         GridSpec(n, length, BC.PERIODIC)
 
 
+@pytest.mark.parametrize("n,bc,kind,message", [
+    (2.5, BC.PERIODIC, GK.REGULAR, "integer"),
+    (8.0, BC.PERIODIC, GK.REGULAR, "integer"),
+    (True, BC.PERIODIC, GK.REGULAR, "integer"),
+    ("8", BC.PERIODIC, GK.REGULAR, "integer"),
+    (8, "dirichlet", GK.REGULAR, "BoundaryCondition"),
+    (8, BC.DIRICHLET, "staggered", "GridKind"),
+], ids=["float-n", "integral-float-n", "bool-n", "str-n", "str-bc", "str-kind"])
+def test_wrong_types_refused_at_construction(n, bc, kind, message):
+    with pytest.raises(ConfigurationError, match=message):
+        GridSpec(n, 1.0, bc, kind)
+
+
+@pytest.mark.parametrize("n", [np.int64(6), np.int32(6), np.uint8(6)])
+def test_numpy_integer_point_count_accepted(n):
+    spec = GridSpec(n, 1.0, BC.PERIODIC)
+    assert spec.dx == 1.0 / 6 and spec.points().size == 6
+
+
 @pytest.mark.parametrize("bc,kind", ROWS, ids=ROW_IDS)
 @pytest.mark.parametrize("length,message", [
     (np.inf, "finite"), (np.nan, "positive"), (1e300, "square"), (1e-170, "square"),

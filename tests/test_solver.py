@@ -11,7 +11,7 @@ import pytest
 import scipy.linalg
 from hypothesis import assume, given, settings, strategies as st
 
-from fastpoisson.eigenvalues import combine_eigenvalues, eigenvalue_table, spectral_eigenvalues
+from fastpoisson.eigenvalues import combine_eigenvalues, eigenvalue_table
 from fastpoisson.grid import (
     Approximation as AP,
     BoundaryCondition as BC,
@@ -104,6 +104,14 @@ def test_config_dimension_limits():
         SolverConfig((), AP.FINITE_DIFFERENCE_2)
 
 
+@pytest.mark.parametrize("approximation", ["spectral", "fd2", None])
+def test_config_refuses_a_non_member_approximation(approximation):
+    # a string once built a plan that silently solved FD2
+    g = GridSpec(4, 1.0, BC.PERIODIC)
+    with pytest.raises(ConfigurationError, match="approximation"):
+        SolverConfig((g,), approximation)
+
+
 def test_config_precision_values():
     g = GridSpec(4, 1.0, BC.PERIODIC)
     assert SolverConfig((g,), AP.FINITE_DIFFERENCE_2).dtype == np.float64
@@ -118,7 +126,7 @@ def test_plan_create_populates_tables():
     # the inverse eigenvalues on the half spectrum of the last periodic axis,
     # with the one null mode at the origin set to zero
     assert plan._inv_lam.shape == (4, 4, 3)
-    lam = spectral_eigenvalues(config.grids[0])
+    lam = eigenvalue_table(config.grids[0], AP.PSEUDO_SPECTRAL)
     np.testing.assert_allclose(plan._inv_lam[1:, 0, 0], 1.0 / lam[1:], rtol=1e-15)
     assert plan._inv_lam[0, 0, 0] == 0.0 and np.count_nonzero(plan._inv_lam == 0.0) == 1
 
@@ -201,6 +209,17 @@ def test_solve_validates_extents_and_finiteness():
                             (np.ones((4, 4)), np.zeros((4, 4), np.int64), "int64")):
         with pytest.raises(TypeError, match=dtype):
             plan.solve(rhs, out=out)
+
+
+def test_solve_refuses_read_only_out_before_any_pass(monkeypatch):
+    plan = SolverPlan(uniform_config(BC.DIRICHLET, GK.REGULAR, (4, 5)))
+    passes = []
+    monkeypatch.setattr(plan, "_real_transform", lambda *args, **kw: passes.append(args))
+    out = np.zeros((4, 5))
+    out.flags.writeable = False
+    with pytest.raises(ValueError, match="out"):
+        plan.solve(np.ones((4, 5)), out=out)
+    assert passes == []
 
 
 # -- the central oracle-equivalence property ------------------------------------
